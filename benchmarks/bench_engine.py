@@ -4,10 +4,11 @@ Not a paper experiment -- these keep the infrastructure honest: the round
 simulator's cost per round, the prefix-sum ring executor's advantage over
 it, the ``Trim`` procedure's full pairwise sweep, the experiment runtime's
 parallel-vs-serial sweep throughput, the compiled trajectory engine's
-speedup over the reactive simulator, the vectorized batch engine's
-speedup over the compiled one on the dense (all start pairs, wide delay
-grid) sweep, and the whole-cube tensor engine's speedup over the batch
-one on the same sweep handed over as a ``ConfigCube`` (cross-label
+speedup over the reactive simulator, the unpruned cube engine's speedup
+over the compiled one on the dense (all start pairs, wide delay grid)
+sweep streamed as a flat list (the :mod:`repro.sim.batch` substrate's
+vectorized passes), and the whole-cube tensor path's speedup over that
+stream on the same sweep handed over as a ``ConfigCube`` (cross-label
 tensor passes plus orbit/dominance pruning).  The engine comparison
 doubles as the perf baseline:
 ``python benchmarks/bench_engine.py`` (or the pytest bench, or the CI
@@ -50,7 +51,7 @@ from repro.sim.simulator import simulate_rendezvous
 BASELINE_PATH = pathlib.Path(__file__).resolve().parent.parent / "BENCH_engine.json"
 
 
-def _instrumented_search(engine, graph, algorithm, configs, horizon):
+def _instrumented_search(engine, graph, algorithm, configs, horizon, prune=None):
     """One engine pass under an in-memory telemetry collector.
 
     Returns ``(report, elapsed_seconds, sink)``; the sink's gauges and
@@ -60,7 +61,13 @@ def _instrumented_search(engine, graph, algorithm, configs, horizon):
     telemetry = Telemetry(sink)
     started = time.perf_counter()
     report = worst_case_search(
-        graph, algorithm, configs, horizon, engine=engine, telemetry=telemetry
+        graph,
+        algorithm,
+        configs,
+        horizon,
+        engine=engine,
+        telemetry=telemetry,
+        prune=prune,
     )
     elapsed = time.perf_counter() - started
     telemetry.close()
@@ -83,9 +90,8 @@ def _engine_stages(sink: MemorySink, engine: str) -> dict:
         "scan_seconds": round(gauges.get(f"{engine}.scan_seconds", 0.0), 4),
     }
     counters = sink.counter_totals()
-    if engine == "batch":
-        stages["chunks"] = int(counters.get("batch.chunks", 0))
-    elif engine == "cube":
+    if engine == "cube":
+        stages["chunks"] = int(counters.get("cube.chunks", 0))
         stages["pruned_orbit_cells"] = int(
             counters.get("cube.prune.orbit_cells", 0)
         )
@@ -149,9 +155,12 @@ def compiled_engine_baseline(path: pathlib.Path | None = BASELINE_PATH) -> dict:
 
     * compiled vs reactive on the pinned-first-start sweep (2520
       configurations -- the reactive engine cannot afford more);
-    * batch vs compiled on the dense sweep (all ordered start pairs, a
-      wide delay grid -- the curve-assembly workload the batch engine
-      vectorizes), skipped without NumPy.
+    * unpruned cube vs compiled on the dense sweep (all ordered start
+      pairs, a wide delay grid -- the curve-assembly workload the NumPy
+      substrate vectorizes) streamed as a flat list, skipped without
+      NumPy;
+    * whole-cube vs that unpruned stream on the same sweep, skipped
+      without NumPy.
 
     All engines must produce *equal* reports on their workloads; the
     returned (and, unless ``path`` is None, written) baseline records
@@ -211,8 +220,8 @@ def compiled_engine_baseline(path: pathlib.Path | None = BASELINE_PATH) -> dict:
             },
             "speedup": round(reactive_seconds / compiled_seconds, 2),
         },
-        "batch_vs_compiled": batch_engine_baseline(graph, algorithm),
-        "cube_vs_batch": cube_engine_baseline(graph, algorithm),
+        "unpruned_vs_compiled": unpruned_engine_baseline(graph, algorithm),
+        "cube_vs_unpruned": cube_engine_baseline(graph, algorithm),
         "runtime": runtime_baseline(),
         "reports_identical": True,
     }
@@ -221,16 +230,33 @@ def compiled_engine_baseline(path: pathlib.Path | None = BASELINE_PATH) -> dict:
     return baseline
 
 
-#: The dense batch-vs-compiled delay grid: wide enough that per-
+#: The dense unpruned-vs-compiled delay grid: wide enough that per-
 #: configuration scanning, not trajectory compilation, dominates both.
 DENSE_DELAYS = (0, 1, 2, 3, 5, 7, 11, 15)
 
 
-def batch_engine_baseline(graph, algorithm) -> dict | None:
-    """Batch vs compiled on the dense (all start pairs) sweep.
+def _best_of_two(engine, graph, algorithm, workload, horizon, prune=None):
+    """The faster of two passes (one ~100k-configuration pass is long
+    enough to measure but still visibly jittery on shared CI runners).
+    The stage breakdown recorded is the best pass's, so the stages sum to
+    (roughly) the reported seconds."""
+    best = None
+    for _ in range(2):
+        candidate = _instrumented_search(
+            engine, graph, algorithm, workload, horizon, prune
+        )
+        if best is None or candidate[1] < best[1]:
+            best = candidate
+    return best
 
-    Returns ``None`` without NumPy -- the baseline then simply records no
-    batch section, and the NumPy-free CI leg stays green.
+
+def unpruned_engine_baseline(graph, algorithm) -> dict | None:
+    """Unpruned cube vs compiled on the dense (all start pairs) sweep.
+
+    The unpruned cube engine gets the configurations as a flat list, so
+    it streams them in chunks through the plain :mod:`repro.sim.batch`
+    passes.  Returns ``None`` without NumPy -- the baseline then simply
+    records no section, and the NumPy-free CI leg stays green.
     """
     if not numpy_available():
         return None
@@ -241,25 +267,15 @@ def batch_engine_baseline(graph, algorithm) -> dict | None:
     def horizon(config):
         return default_horizon(algorithm, config)
 
-    def timed(engine):
-        # Best of two: a single 100k-configuration pass is long enough to
-        # measure but still visibly jittery on shared CI runners.  The
-        # stage breakdown recorded is the best pass's, so the stages sum
-        # to (roughly) the reported seconds.
-        best = None
-        for _ in range(2):
-            candidate = _instrumented_search(
-                engine, graph, algorithm, configs, horizon
-            )
-            if best is None or candidate[1] < best[1]:
-                best = candidate
-        return best
+    compiled, compiled_seconds, compiled_sink = _best_of_two(
+        "compiled", graph, algorithm, configs, horizon
+    )
+    unpruned, unpruned_seconds, unpruned_sink = _best_of_two(
+        "cube", graph, algorithm, configs, horizon, prune=False
+    )
 
-    compiled, compiled_seconds, compiled_sink = timed("compiled")
-    batch, batch_seconds, batch_sink = timed("batch")
-
-    assert batch == compiled, "engines diverged; do not record a baseline"
-    assert not batch.failures
+    assert unpruned == compiled, "engines diverged; do not record a baseline"
+    assert not unpruned.failures
     return {
         "sweep": {
             "algorithm": "fast",
@@ -274,23 +290,24 @@ def batch_engine_baseline(graph, algorithm) -> dict | None:
             "configs_per_s": round(len(configs) / compiled_seconds, 1),
             "stages": _engine_stages(compiled_sink, "compiled"),
         },
-        "batch": {
-            "seconds": round(batch_seconds, 4),
-            "configs_per_s": round(len(configs) / batch_seconds, 1),
-            "stages": _engine_stages(batch_sink, "batch"),
+        "cube_unpruned": {
+            "seconds": round(unpruned_seconds, 4),
+            "configs_per_s": round(len(configs) / unpruned_seconds, 1),
+            "stages": _engine_stages(unpruned_sink, "cube"),
         },
-        "speedup": round(compiled_seconds / batch_seconds, 2),
+        "speedup": round(compiled_seconds / unpruned_seconds, 2),
     }
 
 
 def cube_engine_baseline(graph, algorithm) -> dict | None:
-    """Cube vs batch on the same dense whole-cube sweep.
+    """Whole-cube vs the unpruned stream on the same dense sweep.
 
-    The cube engine receives the space as a
+    The fast leg receives the space as a
     :class:`~repro.sim.adversary.ConfigCube` (the axes, not a flat
     stream), so its cross-label tensor pass and the orbit/dominance
-    pruning engage; the batch engine scans the identical configurations
-    as a stream.  Returns ``None`` without NumPy, like the batch section.
+    pruning engage; the unpruned leg scans the identical configurations
+    as a flat stream.  Returns ``None`` without NumPy, like the unpruned
+    section.
     """
     if not numpy_available():
         return None
@@ -300,20 +317,14 @@ def cube_engine_baseline(graph, algorithm) -> dict | None:
     def horizon(config):
         return default_horizon(algorithm, config)
 
-    def timed(engine, workload):
-        best = None
-        for _ in range(2):
-            candidate = _instrumented_search(
-                engine, graph, algorithm, workload, horizon
-            )
-            if best is None or candidate[1] < best[1]:
-                best = candidate
-        return best
+    unpruned, unpruned_seconds, unpruned_sink = _best_of_two(
+        "cube", graph, algorithm, configs, horizon, prune=False
+    )
+    cube_report, cube_seconds, cube_sink = _best_of_two(
+        "cube", graph, algorithm, cube, horizon
+    )
 
-    batch, batch_seconds, batch_sink = timed("batch", configs)
-    cube_report, cube_seconds, cube_sink = timed("cube", cube)
-
-    assert cube_report == batch, "engines diverged; do not record a baseline"
+    assert cube_report == unpruned, "engines diverged; do not record a baseline"
     assert not cube_report.failures
     return {
         "sweep": {
@@ -324,17 +335,17 @@ def cube_engine_baseline(graph, algorithm) -> dict | None:
             "fix_first_start": False,
             "configurations": len(configs),
         },
-        "batch": {
-            "seconds": round(batch_seconds, 4),
-            "configs_per_s": round(len(configs) / batch_seconds, 1),
-            "stages": _engine_stages(batch_sink, "batch"),
+        "cube_unpruned": {
+            "seconds": round(unpruned_seconds, 4),
+            "configs_per_s": round(len(configs) / unpruned_seconds, 1),
+            "stages": _engine_stages(unpruned_sink, "cube"),
         },
         "cube": {
             "seconds": round(cube_seconds, 4),
             "configs_per_s": round(len(configs) / cube_seconds, 1),
             "stages": _engine_stages(cube_sink, "cube"),
         },
-        "speedup": round(batch_seconds / cube_seconds, 2),
+        "speedup": round(unpruned_seconds / cube_seconds, 2),
     }
 
 
@@ -377,8 +388,8 @@ def runtime_baseline() -> dict:
 
 def test_engine_compiled_sweep_speedup(report):
     """Compiled trajectories must beat the reactive sweep by >= 10x, the
-    batch engine the compiled one by >= 3x, and the cube engine the
-    batch one by >= 10x (when NumPy is present).
+    unpruned cube stream the compiled one by >= 3x, and the whole-cube
+    path the unpruned stream by >= 10x (when NumPy is present).
 
     Also refreshes the ``BENCH_engine.json`` baseline, so running the
     bench suite keeps the recorded perf trajectory current.
@@ -394,29 +405,29 @@ def test_engine_compiled_sweep_speedup(report):
         f"({versus['compiled']['configs_per_s']:.0f} configs/s) "
         f"-> speedup x{versus['speedup']:.1f}",
     ]
-    batch = baseline["batch_vs_compiled"]
-    if batch is not None:
+    unpruned = baseline["unpruned_vs_compiled"]
+    if unpruned is not None:
         lines.append(
-            f"dense sweep ({batch['sweep']['configurations']} configurations): "
-            f"compiled {batch['compiled']['seconds'] * 1000:.0f} ms, "
-            f"batch {batch['batch']['seconds'] * 1000:.0f} ms "
-            f"({batch['batch']['configs_per_s']:.0f} configs/s) "
-            f"-> speedup x{batch['speedup']:.1f}"
+            f"dense sweep ({unpruned['sweep']['configurations']} configurations): "
+            f"compiled {unpruned['compiled']['seconds'] * 1000:.0f} ms, "
+            f"cube unpruned {unpruned['cube_unpruned']['seconds'] * 1000:.0f} ms "
+            f"({unpruned['cube_unpruned']['configs_per_s']:.0f} configs/s) "
+            f"-> speedup x{unpruned['speedup']:.1f}"
         )
-    cube = baseline["cube_vs_batch"]
+    cube = baseline["cube_vs_unpruned"]
     if cube is not None:
         lines.append(
             f"whole-cube sweep ({cube['sweep']['configurations']} "
             f"configurations): "
-            f"batch {cube['batch']['seconds'] * 1000:.0f} ms, "
+            f"cube unpruned {cube['cube_unpruned']['seconds'] * 1000:.0f} ms, "
             f"cube {cube['cube']['seconds'] * 1000:.0f} ms "
             f"({cube['cube']['configs_per_s']:.0f} configs/s) "
             f"-> speedup x{cube['speedup']:.1f}"
         )
     report(lines)
     assert versus["speedup"] >= 10
-    if batch is not None:
-        assert batch["speedup"] >= 3
+    if unpruned is not None:
+        assert unpruned["speedup"] >= 3
     if cube is not None:
         assert cube["speedup"] >= 10
 
@@ -450,8 +461,9 @@ def test_engine_runtime_parallel_speedup(benchmark, report):
 if __name__ == "__main__":
     # The CI smoke job runs this directly (no pytest needed): regenerate
     # the baseline, print it, and fail loudly if the engines diverge or a
-    # speedup regresses (compiled below 10x reactive; batch below 3x
-    # compiled and cube below 10x batch whenever NumPy is installed).
+    # speedup regresses (compiled below 10x reactive; the unpruned cube
+    # stream below 3x compiled and the whole-cube path below 10x the
+    # unpruned stream whenever NumPy is installed).
     summary = compiled_engine_baseline()
     print(json.dumps(summary, indent=2))
     if summary["compiled_vs_reactive"]["speedup"] < 10:
@@ -459,14 +471,14 @@ if __name__ == "__main__":
             "compiled engine speedup regressed to "
             f"x{summary['compiled_vs_reactive']['speedup']}"
         )
-    batch_summary = summary["batch_vs_compiled"]
-    if batch_summary is None:
-        print("numpy not installed: batch engine baseline skipped")
-    elif batch_summary["speedup"] < 3:
+    unpruned_summary = summary["unpruned_vs_compiled"]
+    if unpruned_summary is None:
+        print("numpy not installed: unpruned cube baseline skipped")
+    elif unpruned_summary["speedup"] < 3:
         raise SystemExit(
-            f"batch engine speedup regressed to x{batch_summary['speedup']}"
+            f"unpruned cube speedup regressed to x{unpruned_summary['speedup']}"
         )
-    cube_summary = summary["cube_vs_batch"]
+    cube_summary = summary["cube_vs_unpruned"]
     if cube_summary is None:
         print("numpy not installed: cube engine baseline skipped")
     elif cube_summary["speedup"] < 10:

@@ -218,7 +218,7 @@ class AlgorithmSpec:
 
 
 #: The per-configuration execution substrates a worker can run.
-SIM_ENGINES = ("reactive", "compiled", "batch", "cube")
+SIM_ENGINES = ("reactive", "compiled", "cube")
 
 
 @dataclass(frozen=True)
@@ -233,9 +233,9 @@ class JobSpec:
 
     ``engine`` picks the per-configuration substrate a worker uses:
     ``"reactive"`` (the round simulator), ``"compiled"`` (the trajectory
-    engine of :mod:`repro.sim.compiled`) or ``"batch"`` (the vectorized
-    NumPy engine of :mod:`repro.sim.batch`); the latter two are valid
-    only for schedule-driven algorithms, and ``"batch"`` additionally
+    engine of :mod:`repro.sim.compiled`) or ``"cube"`` (the vectorized
+    NumPy engine of :mod:`repro.sim.cube`); the latter two are valid
+    only for schedule-driven algorithms, and ``"cube"`` additionally
     needs the optional NumPy dependency in every worker process.  Reports
     are byte-identical whichever substrate runs.  A non-default engine
     participates in the content key, so a run-store entry records exactly

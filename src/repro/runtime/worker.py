@@ -8,12 +8,11 @@ construction cost once per distinct job, not once per shard).
 
 The spec's ``engine`` picks the per-configuration substrate: the reactive
 round simulator, the compiled trajectory engine
-(:mod:`repro.sim.compiled`), the vectorized batch engine
-(:mod:`repro.sim.batch`), or the pruned cube engine
+(:mod:`repro.sim.compiled`), or the NumPy cube engine
 (:mod:`repro.sim.cube`).  The compiled ``(label, start)`` trajectory
-table and the NumPy engines' dense timeline arrays are likewise memoised
-per process, so shards of one sweep share compilations.  The NumPy
-substrates never walk the shard configuration by configuration: the
+table and the cube engine's dense timeline arrays are likewise memoised
+per process, so shards of one sweep share compilations.  The cube
+substrate never walks the shard configuration by configuration: the
 shard's lazy ``(index, configuration)`` stream is measured in bounded
 vectorized chunks.  Whatever the substrate, the measured ``(time, cost)``
 per configuration -- and hence the shard report -- is identical.
@@ -31,8 +30,9 @@ from repro.registry import PRESENCE_MODELS
 from repro.runtime.report import ConfigRef, ExtremeSummary, ShardReport, ShardTiming
 from repro.runtime.spec import AlgorithmSpec, GraphSpec, JobSpec
 from repro.sim.adversary import Configuration, default_horizon
-from repro.sim.batch import BatchTimelineTable, evaluate_stream
+from repro.sim.batch import evaluate_stream
 from repro.sim.compiled import TrajectoryTable
+from repro.sim.prune import resolve_prune
 from repro.sim.simulator import simulate_rendezvous
 
 
@@ -53,23 +53,14 @@ def _trajectory_table(
 
 
 @lru_cache(maxsize=8)
-def _batch_table(
-    graph_spec: GraphSpec, algorithm_spec: AlgorithmSpec
-) -> BatchTimelineTable:
-    graph, algorithm = _materialize(graph_spec, algorithm_spec)
-    return BatchTimelineTable(graph, algorithm)
-
-
-@lru_cache(maxsize=8)
-def _cube_table(graph_spec: GraphSpec, algorithm_spec: AlgorithmSpec):
+def _cube_table(
+    graph_spec: GraphSpec, algorithm_spec: AlgorithmSpec, prune: bool
+):
     # Imported lazily so NumPy-free workers can run the other engines.
     from repro.sim.cube import CubeTimelineTable
 
     graph, algorithm = _materialize(graph_spec, algorithm_spec)
-    # prune=None resolves via REPRO_PRUNE, which pool/cluster workers
-    # inherit from the submitting process -- pruned and unpruned shards
-    # are byte-identical, so the knob never rides on the spec.
-    return CubeTimelineTable(graph, algorithm)
+    return CubeTimelineTable(graph, algorithm, prune=prune)
 
 
 class _ShardMeter:
@@ -122,12 +113,13 @@ def _measured_stream(
         )
 
     indexed = spec.iter_shard(graph)
-    if spec.engine in ("batch", "cube"):
-        table = (
-            _cube_table(spec.graph, spec.algorithm)
-            if spec.engine == "cube"
-            else _batch_table(spec.graph, spec.algorithm)
-        )
+    if spec.engine == "cube":
+        # The prune setting resolves via REPRO_PRUNE, which pool/cluster
+        # workers inherit from the submitting process -- pruned and
+        # unpruned shards are byte-identical, so the knob never rides on
+        # the spec -- but it keys the table cache, so a changed setting
+        # builds a fresh table instead of reusing a stale one.
+        table = _cube_table(spec.graph, spec.algorithm, resolve_prune())
         if meter is not None:
             meter.watch_table(table)
         for index, config, _horizon, time_, cost in evaluate_stream(

@@ -14,11 +14,7 @@ The simulator implements the paper's execution model exactly:
 
 from repro.sim.actions import WAIT, Action, is_move
 from repro.sim.adversary import WorstCaseReport, worst_case_search
-from repro.sim.batch import (
-    BatchTimelineTable,
-    BatchUnavailableError,
-    batch_worst_case_search,
-)
+from repro.sim.batch import BatchTimelineTable, BatchUnavailableError
 from repro.sim.compiled import (
     CompiledTrajectory,
     TrajectoryTable,
@@ -59,7 +55,6 @@ __all__ = [
     "Simulator",
     "TrajectoryTable",
     "WorstCaseReport",
-    "batch_worst_case_search",
     "compile_trajectory",
     "compiled_worst_case_search",
     "default_max_rounds",

@@ -196,7 +196,7 @@ def default_horizon(algorithm: Any, config: Configuration) -> int:
 
 
 #: Valid values of ``worst_case_search``'s ``engine`` argument.
-SEARCH_ENGINES = ("reactive", "compiled", "batch", "cube", "auto")
+SEARCH_ENGINES = ("reactive", "compiled", "cube", "auto")
 
 
 def worst_case_search(
@@ -221,7 +221,8 @@ def worst_case_search(
     ``configs`` is consumed as a *stream*: with ``sample=None``, no engine
     materializes the configuration space -- the reactive loop runs one
     configuration at a time, the compiled engine scans lazily, and the
-    batch engine pulls bounded chunks.  Only the sampling branch (which
+    cube engine pulls bounded chunks from any iterable that is not a
+    :class:`ConfigCube`.  Only the sampling branch (which
     must see the whole population to draw from it) builds a list.
 
     ``engine`` selects the execution substrate and never the semantics --
@@ -231,14 +232,12 @@ def worst_case_search(
     * ``"compiled"`` compiles each agent's trajectory once per
       ``(label, start)`` and scans timelines (:mod:`repro.sim.compiled`);
       requires a schedule-driven factory exposing ``schedule_length``;
-    * ``"batch"`` stacks the compiled timelines into dense arrays and
-      answers whole configuration blocks per NumPy pass
-      (:mod:`repro.sim.batch`); needs the optional NumPy dependency and a
-      schedule-driven factory;
-    * ``"cube"`` tensorizes *across* label pairs and prunes the adversary
-      space by rotation orbits and delay dominance
-      (:mod:`repro.sim.cube`); same requirements as ``"batch"``, fastest
-      when ``configs`` is a :class:`ConfigCube`;
+    * ``"cube"`` stacks the compiled timelines into dense NumPy arrays
+      (:mod:`repro.sim.batch`), tensorizes *across* label pairs and
+      prunes the adversary space by rotation orbits and delay dominance
+      (:mod:`repro.sim.cube`); needs the optional NumPy dependency and a
+      schedule-driven factory, and is fastest when ``configs`` is a
+      :class:`ConfigCube` (any other iterable streams in chunks);
     * ``"auto"`` picks the fastest sound engine for the factory: agents
       declaring ``is_oblivious`` (see
       :class:`repro.core.base.RendezvousAlgorithm`) run on ``"cube"``
@@ -247,7 +246,8 @@ def worst_case_search(
 
     ``prune`` is consulted by the cube engine only (``None`` resolves
     through :func:`repro.sim.prune.resolve_prune`); pruned and unpruned
-    runs return byte-identical reports.
+    runs return byte-identical reports, and ``prune=False`` runs the
+    plain unpruned NumPy passes.
     """
     if engine not in SEARCH_ENGINES:
         raise ValueError(
@@ -280,12 +280,6 @@ def worst_case_search(
             presence,
             telemetry=telemetry,
             prune=prune,
-        )
-    if engine == "batch":
-        from repro.sim.batch import batch_worst_case_search
-
-        return batch_worst_case_search(
-            graph, factory, configs, max_rounds, presence, telemetry=telemetry
         )
     if engine == "compiled":
         from repro.sim.compiled import compiled_worst_case_search

@@ -1,10 +1,11 @@
 """The cube engine: whole-sweep tensor passes with adversary-space pruning.
 
-The batch engine (:mod:`repro.sim.batch`) answers all ``(start, delay)``
-configurations of one label pair per NumPy pass but still loops over the
-``L(L-1)`` label pairs in Python, materializes a :class:`Configuration`
-object per cell, and scans every start pair even when symmetry makes most
-of them redundant.  This module removes all three costs:
+The unpruned substrate (:mod:`repro.sim.batch`) answers all ``(start,
+delay)`` configurations of one label pair per NumPy pass but still loops
+over the ``L(L-1)`` label pairs in Python, materializes a
+:class:`Configuration` object per cell, and scans every start pair even
+when symmetry makes most of them redundant.  This module removes all
+three costs:
 
 * **Cross-label tensorization** -- given a :class:`ConfigCube` (the
   product-structured configuration space), the whole
@@ -21,11 +22,13 @@ of them redundant.  This module removes all three costs:
   a pivot slice and are derived, not scanned; the meeting scan stops as
   soon as every tracked cell has met.
 
-Equivalence contract: identical to the batch engine's, inherited verbatim
--- every pruned verdict is reconstructed by an exact rule before any
-comparison, the argmax tie-break is the same strict-``>`` in global
+Equivalence contract: identical to the compiled engine's -- every pruned
+verdict is reconstructed by an exact rule before any comparison, the
+argmax tie-break is the reactive loop's strict-``>`` in global
 enumeration order, and the cross-engine suite (``tests/sim``) asserts
 byte-identity against the reactive engine with pruning on and off.
+With pruning off (``prune=False`` or ``REPRO_PRUNE=0``) every pass is
+the substrate's plain unpruned one.
 
 NumPy availability is checked at call time through
 :mod:`repro.sim.batch`, so ``engine="cube"`` degrades with the same loud
@@ -39,7 +42,6 @@ from __future__ import annotations
 # for telemetry gauges, exactly as in repro.sim.batch; results flow only
 # through Telemetry, never into report bytes.
 
-import itertools
 import time
 from typing import Any, Callable, Iterable, Sequence
 
@@ -54,11 +56,10 @@ from repro.sim.adversary import (
 )
 from repro.sim.batch import (
     _BLOCK_ELEMENTS,
-    _MATRIX_CACHE_ELEMENTS,
     _MIN_TIME_BLOCK,
     BatchTimelineTable,
     LabelTimelines,
-    resolve_stream_chunk,
+    stream_chunks,
 )
 from repro.sim.program import ProgramFactory
 from repro.sim.prune import (
@@ -83,13 +84,13 @@ def _delta_tables(
 ) -> tuple[Any, Any]:
     """Per-delta first colocations and costs for every delay slice.
 
-    The orbit-reduced counterpart of the batch engine's
+    The orbit-reduced counterpart of the substrate's
     ``_meeting_tensor``/``_cost_tensor`` pair: with rotation-derived
     timelines, starts ``(s1, s2)`` colocate at ``t`` iff
     ``pos1(t) - pos2(t') == s2 - s1 (mod n)`` of the *start-0* rows, so
     one ``(D, n)`` table over ``delta`` answers all ``n**2`` start pairs
     of each slice.  Row semantics (windows, delay clipping, parachute
-    blanking, ``-1`` for never) match the batch tensors exactly; the
+    blanking, ``-1`` for never) match the full tensors exactly; the
     column-block scan stops early once every delta has met
     (``stats.early_exit_rounds`` counts the skipped time points).
     """
@@ -430,20 +431,6 @@ class CubeTimelineTable(BatchTimelineTable):
         self.stats.orbit_cells += pair_count * delay_count * (n * n - n)
         return met_full, cost_full
 
-    def _store_matrices(
-        self,
-        key: tuple[tuple[int, int], int, int, PresenceModel],
-        met: Any,
-        cost: Any,
-    ) -> None:
-        """Insert one group's matrices under the parent's FIFO budget."""
-        size = 2 * self.graph.num_nodes**2
-        while self._matrices and (len(self._matrices) + 1) * size > (
-            _MATRIX_CACHE_ELEMENTS
-        ):
-            self._matrices.pop(next(iter(self._matrices)))
-        self._matrices[key] = (met, cost)
-
     def _ensure_matrices(
         self,
         labels: tuple[int, int],
@@ -562,12 +549,13 @@ def _pair_horizons(
             )
             if check != horizon:
                 raise ValueError(
-                    "engine 'cube' needs a start-independent horizon, but "
+                    "a ConfigCube needs a start-independent horizon, but "
                     f"max_rounds() returned {horizon} and {check} for "
                     f"start pairs {first_start} and {last_start} "
                     f"(labels={labels}, delay={delay}); use a constant or "
-                    "a (labels, delay)-determined policy, or choose "
-                    "engine 'batch'"
+                    "a (labels, delay)-determined policy, or pass the "
+                    "configurations as a plain iterable (e.g. list(cube)), "
+                    "which streams and accepts any horizon"
                 )
         pairs.append((delay, horizon))
     return pairs
@@ -704,24 +692,22 @@ def _stream_search(
     int,
     int,
 ]:
-    """Chunked fallback for arbitrary configuration streams (shards).
+    """The chunked reducer for arbitrary configuration streams.
 
-    The batch engine's loop over the pruned table: same chunking, same
-    strict-``>``/argmax-first tie-break, with the chunk size resolved
-    through :func:`repro.sim.batch.resolve_stream_chunk`.
+    Pulls :func:`repro.sim.batch.stream_chunks` chunks and answers each
+    through :meth:`CubeTimelineTable.evaluate_arrays`.  ``argmax``
+    returns the *first* maximiser, and failures sit at ``-1`` below any
+    meeting time (costs are masked to ``-1``), so each chunk's candidate
+    carries the lowest in-chunk position; with the strict-``>`` update
+    across chunks this is exactly the serial first-wins tie-break.
     """
     horizon_of = max_rounds if callable(max_rounds) else None
-    chunk_size = resolve_stream_chunk(None, table.graph)
     worst_time: tuple[int, Configuration, int] | None = None
     worst_cost: tuple[int, Configuration, int] | None = None
     failures: list[Configuration] = []
     executions = 0
     chunks = 0
-    iterator = iter(configs)
-    while True:
-        chunk = list(itertools.islice(iterator, chunk_size))
-        if not chunk:
-            break
+    for chunk in stream_chunks(configs, table.graph):
         chunks += 1
         if horizon_of is not None:
             horizons = [horizon_of(config) for config in chunk]
@@ -761,7 +747,7 @@ def cube_worst_case_search(
 
     A :class:`ConfigCube` input takes the whole-cube tensor path
     (configurations never materialize); any other iterable streams in
-    bounded chunks over the same pruned table.  ``prune=None`` resolves
+    bounded chunks over the same table.  ``prune=None`` resolves
     through :func:`repro.sim.prune.resolve_prune`; pruned and unpruned
     reports are byte-identical.  Telemetry splits build versus scan
     seconds and meters every prune avenue.

@@ -5,7 +5,8 @@ every engine and worker count.
 This extends the cross-engine identity suite (tests/sim/test_compiled.py)
 along the observability axis: the matrix below runs the same scenario
 under telemetry {off, memory, jsonl} x engine {serial/reactive, compiled,
-batch} x workers {1, 4} and asserts every cell produces the same bytes.
+unpruned cube} x workers {1, 4} and asserts every cell produces the same
+bytes.
 """
 
 import itertools
@@ -22,6 +23,7 @@ from repro.obs import (
     validate_events,
 )
 from repro.sim.batch import numpy_available
+from repro.sim.prune import PRUNE_ENV
 
 
 def scenario():
@@ -36,16 +38,18 @@ def scenario():
 
 #: (engine, workers) cells of the identity matrix.  ``serial`` runs the
 #: reactive substrate in-process; ``parallel`` the same substrate on a
-#: 4-worker pool; compiled and batch run both serial and pooled.
+#: 4-worker pool; compiled and the unpruned NumPy substrate run both
+#: serial and pooled.  The cell ``batch`` names that substrate
+#: (:mod:`repro.sim.batch`): ``engine="cube"`` with ``REPRO_PRUNE=0``.
 ENGINE_CELLS = [
     ("serial", None),
     ("parallel", 4),
     ("compiled", None),
     ("compiled", 4),
     pytest.param("batch", None, marks=pytest.mark.skipif(
-        not numpy_available(), reason="the batch engine needs numpy")),
+        not numpy_available(), reason="the cube engine needs numpy")),
     pytest.param("batch", 4, marks=pytest.mark.skipif(
-        not numpy_available(), reason="the batch engine needs numpy")),
+        not numpy_available(), reason="the cube engine needs numpy")),
 ]
 
 TELEMETRY_MODES = ["off", "memory", "jsonl"]
@@ -73,8 +77,11 @@ class TestScenarioRunInertness:
     )
     @pytest.mark.parametrize("mode", TELEMETRY_MODES)
     def test_report_bytes_are_identical(
-        self, engine, workers, mode, baseline, tmp_path
+        self, engine, workers, mode, baseline, tmp_path, monkeypatch
     ):
+        if engine == "batch":
+            engine = "cube"
+            monkeypatch.setenv(PRUNE_ENV, "0")
         telemetry, path = make_telemetry(mode, tmp_path)
         run = scenario().run(engine=engine, workers=workers, telemetry=telemetry)
         if telemetry is not None:

@@ -172,6 +172,41 @@ def _die_executing(spec):
     os.kill(os.getpid(), signal.SIGKILL)
 
 
+class TestWorkerTableCache:
+    def test_changed_prune_setting_builds_a_fresh_table(self, monkeypatch):
+        """The per-process table cache must not pin the first prune setting.
+
+        Pool children fork with the parent's cache, so a stale table would
+        outlive a ``REPRO_PRUNE`` change in every worker of the process.
+        """
+        pytest.importorskip("numpy")
+        import repro.runtime.worker as worker_module
+        from repro.api import Scenario
+        from repro.sim.prune import PRUNE_ENV
+
+        seen = []
+        original = worker_module.evaluate_stream
+
+        def spy(table, *args, **kwargs):
+            seen.append(table.prune)
+            return original(table, *args, **kwargs)
+
+        monkeypatch.setattr(worker_module, "evaluate_stream", spy)
+        scenario = Scenario(
+            graph="ring",
+            graph_params={"n": 7},
+            algorithm="fast",
+            label_space=3,
+            delays=(0, 1),
+        )
+        monkeypatch.setenv(PRUNE_ENV, "1")
+        pruned = scenario.run(engine="cube", workers=1, cache=False)
+        monkeypatch.setenv(PRUNE_ENV, "0")
+        unpruned = scenario.run(engine="cube", workers=1, cache=False)
+        assert seen and seen[0] is True and seen[-1] is False
+        assert unpruned.to_json() == pruned.to_json()
+
+
 class TestPlanShardsGuards:
     def test_oversized_shard_count_never_plans_empty_shards(self):
         for total in (1, 2, 5):

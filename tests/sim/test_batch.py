@@ -1,11 +1,14 @@
-"""Tests for the vectorized batch sweep engine (`repro.sim.batch`).
+"""Tests for the unpruned NumPy substrate (`repro.sim.batch`).
 
-The exhaustive cross-engine identity suite lives in
-``tests/sim/test_compiled.py`` (the batch engine participates there
-whenever NumPy is importable); this module covers the engine's own
-surface -- availability and fallback without NumPy, the timeline table
-and streaming evaluator, runtime/worker integration, and the determinism
-of sampled sweeps across engines and processes.
+The substrate is what the cube engine runs with pruning off
+(``prune=False`` or ``REPRO_PRUNE=0``), so its search, runtime and
+sampling tests drive ``engine="cube"`` unpruned over flat configuration
+lists -- the chunked stream path.  The exhaustive cross-engine identity
+suite lives in ``tests/sim/test_compiled.py`` (the unpruned cube leg
+participates there whenever NumPy is importable); this module covers the
+substrate's own surface -- availability and fallback without NumPy, the
+timeline table and streaming evaluator, runtime/worker integration, and
+the determinism of sampled sweeps across engines and processes.
 """
 
 import json
@@ -17,6 +20,7 @@ import pytest
 
 import repro.sim.batch as batch_module
 from repro.api import Scenario, sweep_objects
+from repro.obs.telemetry import Telemetry
 from repro.runtime import (
     AlgorithmSpec,
     GraphSpec,
@@ -35,16 +39,16 @@ from repro.sim.adversary import (
 )
 from repro.sim.batch import (
     BatchUnavailableError,
-    batch_worst_case_search,
     evaluate_stream,
     numpy_available,
     require_numpy,
 )
 from repro.sim.compiled import TrajectoryTable
+from repro.sim.prune import PRUNE_ENV
 from repro.sim.simulator import PresenceModel
 
 requires_numpy = pytest.mark.skipif(
-    not numpy_available(), reason="the batch engine needs numpy"
+    not numpy_available(), reason="the cube engine needs numpy"
 )
 
 
@@ -52,12 +56,25 @@ def build_algorithm(name, graph, label_space=3):
     return AlgorithmSpec(name, label_space=label_space).build(graph)
 
 
+def unpruned_search(graph, algorithm, configs, max_rounds, **options):
+    """The unpruned substrate's stream search: cube, pruning off."""
+    return worst_case_search(
+        graph, algorithm, configs, max_rounds, engine="cube", prune=False, **options
+    )
+
+
+def force_chunk_size(monkeypatch, size):
+    """Pin the stream chunk size by clamping both of its bounds."""
+    monkeypatch.setattr(batch_module, "DEFAULT_STREAM_CHUNK", size)
+    monkeypatch.setattr(batch_module, "_MAX_DERIVED_CHUNK", size)
+
+
 class TestAvailability:
     def test_require_numpy_names_the_extra(self, monkeypatch):
         monkeypatch.setattr(batch_module, "_np", None)
         assert not numpy_available()
         with pytest.raises(BatchUnavailableError, match=r"repro-rendezvous\[batch\]"):
-            require_numpy()
+            require_numpy("cube")
 
     def test_unavailable_error_is_a_value_error(self):
         assert issubclass(BatchUnavailableError, ValueError)
@@ -67,7 +84,7 @@ class TestAvailability:
         algorithm = build_algorithm("cheap", ring12)
         configs = list(configurations(ring12, [(1, 2)], delays=(0,)))
         with pytest.raises(BatchUnavailableError, match="NumPy"):
-            worst_case_search(ring12, algorithm, configs, 50, engine="batch")
+            unpruned_search(ring12, algorithm, configs, 50)
 
     def test_auto_without_numpy_matches_the_compiled_report(
         self, ring12, monkeypatch
@@ -94,7 +111,7 @@ class TestAvailability:
 
 @requires_numpy
 class TestBatchTimelineTable:
-    def test_evaluate_many_matches_the_trajectory_table(self, ring12):
+    def test_evaluate_arrays_matches_the_trajectory_table(self, ring12):
         algorithm = build_algorithm("fast", ring12)
         table = batch_module.BatchTimelineTable(ring12, algorithm)
         reference = TrajectoryTable(ring12, algorithm)
@@ -103,11 +120,13 @@ class TestBatchTimelineTable:
         )
         horizons = [default_horizon(algorithm, config) for config in configs]
         for presence in PresenceModel:
-            measured = table.evaluate_many(configs, horizons, presence)
-            for config, horizon, (time, cost) in zip(configs, horizons, measured):
-                assert (time, cost) == reference.evaluate(config, horizon, presence)
-                assert time is None or isinstance(time, int)
-                assert isinstance(cost, int)
+            met, cost = table.evaluate_arrays(configs, horizons, presence)
+            assert met.shape == cost.shape == (len(configs),)
+            for config, horizon, time, total in zip(
+                configs, horizons, met.tolist(), cost.tolist()
+            ):
+                expected = reference.evaluate(config, horizon, presence)
+                assert (time if time >= 0 else None, total) == expected
 
     def test_label_matrices_are_built_once(self, ring12):
         algorithm = build_algorithm("cheap", ring12)
@@ -149,7 +168,7 @@ class TestBatchTimelineTable:
 
 @requires_numpy
 class TestEvaluateStream:
-    def test_preserves_order_and_keys_across_chunks(self, ring12):
+    def test_preserves_order_and_keys_across_chunks(self, ring12, monkeypatch):
         algorithm = build_algorithm("fast", ring12)
         table = batch_module.BatchTimelineTable(ring12, algorithm)
         reference = TrajectoryTable(ring12, algorithm)
@@ -158,17 +177,22 @@ class TestEvaluateStream:
             (index, config, default_horizon(algorithm, config))
             for index, config in enumerate(configs)
         ]
-        out = list(evaluate_stream(table, iter(items), chunk_size=7))
+        force_chunk_size(monkeypatch, 7)
+        chunks = []
+        out = list(
+            evaluate_stream(
+                table,
+                iter(items),
+                on_chunk=lambda size, seconds: chunks.append(size),
+            )
+        )
+        assert chunks == [7] * (len(items) // 7) + [len(items) % 7]
         assert [key for key, *_ in out] == list(range(len(configs)))
         for key, config, horizon, time, cost in out:
             assert config is configs[key]
             assert (time, cost) == reference.evaluate(config, horizon)
-
-    def test_rejects_nonpositive_chunks(self, ring12):
-        algorithm = build_algorithm("fast", ring12)
-        table = batch_module.BatchTimelineTable(ring12, algorithm)
-        with pytest.raises(ValueError, match="chunk_size"):
-            list(evaluate_stream(table, [], chunk_size=0))
+            assert time is None or isinstance(time, int)
+            assert isinstance(cost, int)
 
     def test_empty_stream_yields_nothing(self, ring12):
         algorithm = build_algorithm("fast", ring12)
@@ -190,24 +214,28 @@ class TestBatchWorstCaseSearch:
         reference = worst_case_search(
             ring12, algorithm, configs, horizon, engine="compiled"
         )
-        monkeypatch.setattr(batch_module, "DEFAULT_STREAM_CHUNK", 5)
-        chunked = batch_worst_case_search(ring12, algorithm, configs, horizon)
+        force_chunk_size(monkeypatch, 5)
+        telemetry = Telemetry()
+        chunked = unpruned_search(
+            ring12, algorithm, configs, horizon, telemetry=telemetry
+        )
         assert chunked == reference
+        assert telemetry.counters["cube.chunks"] == -(-len(configs) // 5)
 
     def test_failures_keep_enumeration_order(self, ring12):
         algorithm = build_algorithm("fast", ring12)
         configs = list(configurations(ring12, [(1, 2)], fix_first_start=True))
-        batch = batch_worst_case_search(ring12, algorithm, configs, 1)
+        unpruned = unpruned_search(ring12, algorithm, configs, 1)
         reactive = worst_case_search(
             ring12, algorithm, configs, 1, engine="reactive"
         )
-        assert batch == reactive
-        assert batch.worst_time is None
-        assert len(batch.failures) == 11
+        assert unpruned == reactive
+        assert unpruned.worst_time is None
+        assert len(unpruned.failures) == 11
 
     def test_empty_configuration_stream(self, ring12):
         algorithm = build_algorithm("cheap", ring12)
-        report = batch_worst_case_search(ring12, algorithm, [], 1)
+        report = unpruned_search(ring12, algorithm, [], 1)
         assert report.worst_time is None and report.worst_cost is None
         assert report.executions == 0 and report.failures == ()
 
@@ -215,21 +243,25 @@ class TestBatchWorstCaseSearch:
         algorithm = build_algorithm("cheap-sim", ring12)
         configs = list(configurations(ring12, all_label_pairs(3), delays=(0,)))
         horizon = default_horizon(algorithm, configs[0])
-        constant = batch_worst_case_search(ring12, algorithm, configs, horizon)
-        called = batch_worst_case_search(
-            ring12, algorithm, configs, lambda config: horizon
-        )
+        constant = unpruned_search(ring12, algorithm, configs, horizon)
+        called = unpruned_search(ring12, algorithm, configs, lambda config: horizon)
         assert constant == called
 
 
 @requires_numpy
 class TestRuntimeIntegration:
+    @pytest.fixture(autouse=True)
+    def unpruned(self, monkeypatch):
+        # Workers resolve pruning through the environment, which pool
+        # children inherit.
+        monkeypatch.setenv(PRUNE_ENV, "0")
+
     def job(self, **overrides):
         base = dict(
             algorithm=AlgorithmSpec("fast", 4),
             graph=GraphSpec.make("ring", n=8),
             delays=(0, 3),
-            engine="batch",
+            engine="cube",
         )
         base.update(overrides)
         return JobSpec(**base)
@@ -237,12 +269,12 @@ class TestRuntimeIntegration:
     def test_run_shard_matches_the_reactive_worker(self):
         from repro.obs import strip_timing
 
-        batch = run_shard(self.job().shard_spec(10, 40))
+        unpruned = run_shard(self.job().shard_spec(10, 40))
         reactive = run_shard(self.job(engine="reactive").shard_spec(10, 40))
         # The reports are equal (timing is non-canonical and excluded from
         # comparison); their canonical payloads are byte-identical.
-        assert batch == reactive
-        assert canonical_json(strip_timing(batch.to_dict())) == canonical_json(
+        assert unpruned == reactive
+        assert canonical_json(strip_timing(unpruned.to_dict())) == canonical_json(
             strip_timing(reactive.to_dict())
         )
 
@@ -271,9 +303,12 @@ class TestSampledSweepDeterminism:
     """The `sample=` satellite: seeded draws, identical across engines
     and across interpreter processes."""
 
-    ENGINES = ("reactive", "compiled") + (("batch",) if numpy_available() else ())
+    #: Engine legs as ``sweep_objects`` keyword arguments.
+    ENGINES = {"reactive": {"engine": "reactive"}, "compiled": {"engine": "compiled"}}
+    if numpy_available():
+        ENGINES["cube-unpruned"] = {"engine": "cube", "prune": False}
 
-    def sampled_row(self, engine):
+    def sampled_row(self, engine, prune=None):
         from repro.graphs.families import oriented_ring
 
         return sweep_objects(
@@ -283,10 +318,11 @@ class TestSampledSweepDeterminism:
             delays=(0, 2),
             sample=30,
             engine=engine,
+            prune=prune,
         )
 
     def test_identical_rows_across_engines(self):
-        rows = {engine: self.sampled_row(engine) for engine in self.ENGINES}
+        rows = {name: self.sampled_row(**leg) for name, leg in self.ENGINES.items()}
         reference = rows["reactive"]
         assert reference.executions == 30
         assert all(row == reference for row in rows.values())

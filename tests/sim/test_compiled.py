@@ -1,8 +1,8 @@
 """Cross-engine equivalence: derived engines vs. the reactive simulator.
 
-The compiled trajectory engine (`repro.sim.compiled`), the vectorized
-batch engine (`repro.sim.batch`) and the whole-cube tensor engine
-(`repro.sim.cube`) are only allowed to exist because they
+The compiled trajectory engine (`repro.sim.compiled`) and the NumPy
+cube engine (`repro.sim.cube`), pruned and over the unpruned
+`repro.sim.batch` substrate, are only allowed to exist because they
 are *indistinguishable* from the reactive engine: for every registered
 algorithm on a small instance of every registered graph family, under
 both presence models and a ``{0, 1, E}`` delay grid, the engines must
@@ -32,10 +32,12 @@ from repro.sim.compiled import (
 from repro.sim.program import AgentContext
 from repro.sim.simulator import PresenceModel, simulate_rendezvous
 
-#: Every engine that must be indistinguishable from "reactive" here.
-DERIVED_ENGINES = ("compiled",) + (
-    ("batch", "cube") if numpy_available() else ()
-)
+#: Every derived engine leg that must be indistinguishable from
+#: "reactive" here, as ``worst_case_search`` keyword arguments.
+DERIVED_ENGINES = {"compiled": {"engine": "compiled"}}
+if numpy_available():
+    DERIVED_ENGINES["cube-unpruned"] = {"engine": "cube", "prune": False}
+    DERIVED_ENGINES["cube"] = {"engine": "cube"}
 
 #: The smallest valid instance of every registered graph family.  A test
 #: below asserts this stays in sync with the registry, so adding a family
@@ -86,8 +88,8 @@ class TestSuiteCoverage:
 def test_derived_engine_reports_equal_reactive_report(family, algorithm_name):
     """The exhaustive cross-engine sweep: equal reports, field for field.
 
-    Every derived engine (compiled, and batch when NumPy is present) is
-    compared against one reactive reference per presence model.  Delays
+    Every derived engine leg (compiled, and cube unpruned and pruned
+    when NumPy is present) is compared against one reactive reference per presence model.  Delays
     are swept even for simultaneous-start algorithms -- they then
     legitimately fail to meet in some configurations, which is exactly how
     the failure tuples' equivalence is exercised.
@@ -105,9 +107,9 @@ def test_derived_engine_reports_equal_reactive_report(family, algorithm_name):
         reactive = worst_case_search(
             graph, algorithm, configs, horizon, presence=presence, engine="reactive"
         )
-        for engine in DERIVED_ENGINES:
+        for engine, options in DERIVED_ENGINES.items():
             derived = worst_case_search(
-                graph, algorithm, configs, horizon, presence=presence, engine=engine
+                graph, algorithm, configs, horizon, presence=presence, **options
             )
             assert derived == reactive, (
                 f"{algorithm_name} on {family} ({presence}, {engine})"
@@ -135,9 +137,9 @@ class TestTieBreaking:
             reactive = worst_case_search(
                 ring12, algorithm, ordering, horizon, engine="reactive"
             )
-            for engine in DERIVED_ENGINES:
+            for engine, options in DERIVED_ENGINES.items():
                 derived = worst_case_search(
-                    ring12, algorithm, ordering, horizon, engine=engine
+                    ring12, algorithm, ordering, horizon, **options
                 )
                 assert derived == reactive, engine
         forward = worst_case_search(ring12, algorithm, configs, horizon, engine="compiled")
@@ -226,9 +228,9 @@ class TestEngineSelection:
             ring12, algorithm, configs, horizon, sample=25, engine="reactive"
         )
         assert reactive.executions == 25
-        for engine in DERIVED_ENGINES:
+        for engine, options in DERIVED_ENGINES.items():
             derived = worst_case_search(
-                ring12, algorithm, configs, horizon, sample=25, engine=engine
+                ring12, algorithm, configs, horizon, sample=25, **options
             )
             assert derived == reactive, engine
 

@@ -32,7 +32,6 @@ from repro.sim.adversary import (
 )
 from repro.sim.batch import (
     DEFAULT_STREAM_CHUNK,
-    STREAM_CHUNK_ENV,
     BatchUnavailableError,
     numpy_available,
     resolve_stream_chunk,
@@ -76,10 +75,11 @@ needs_numpy = pytest.mark.skipif(
 def test_pruning_never_changes_a_report(family, algorithm_name):
     """The REP030 mirror: pruned == unpruned == reactive, everywhere.
 
-    The whole-cube tensor path (a :class:`ConfigCube` input) is exercised
-    with pruning resolved both ways; only certified-cyclic families
-    actually take the orbit shortcut, but every family must come back
-    byte-identical to the reactive reference regardless.
+    Both the whole-cube tensor path (a :class:`ConfigCube` input) and the
+    chunked stream path (the same configurations as a flat list) are
+    exercised with pruning resolved both ways; only certified-cyclic
+    families actually take the orbit shortcut, but every family must come
+    back byte-identical to the reactive reference regardless.
     """
     graph = small_instance(family)
     algorithm = build_algorithm(algorithm_name, graph)
@@ -90,17 +90,19 @@ def test_pruning_never_changes_a_report(family, algorithm_name):
     def horizon(config):
         return default_horizon(algorithm, config)
 
+    flat = list(cube)
     for presence in PresenceModel:
         reactive = worst_case_search(
-            graph, algorithm, list(cube), horizon, presence=presence, engine="reactive"
+            graph, algorithm, flat, horizon, presence=presence, engine="reactive"
         )
-        for prune in (True, False):
-            report = cube_worst_case_search(
-                graph, algorithm, cube, horizon, presence=presence, prune=prune
-            )
-            assert report == reactive, (
-                f"{algorithm_name} on {family} ({presence}, prune={prune})"
-            )
+        for configs, path in ((cube, "cube"), (flat, "stream")):
+            for prune in (True, False):
+                report = cube_worst_case_search(
+                    graph, algorithm, configs, horizon, presence=presence, prune=prune
+                )
+                assert report == reactive, (
+                    f"{algorithm_name} on {family} ({presence}, {path}, prune={prune})"
+                )
 
 
 @needs_numpy
@@ -294,7 +296,7 @@ class TestDominance:
 
     @needs_numpy
     def test_derive_met_translates_exactly_the_post_wake_meetings(self):
-        np = batch_module.require_numpy()
+        np = batch_module.require_numpy("cube")
         met_pivot = np.array([-1, 3, 7, 12])
         from_start = derive_met(np, met_pivot, 5, 4, parachute=False)
         assert from_start.tolist() == [-1, 3, 11, 16]
@@ -382,34 +384,14 @@ class TestResolvePrune:
 
 
 class TestResolveStreamChunk:
-    def test_explicit_argument_beats_the_environment(self, monkeypatch):
-        monkeypatch.setenv(STREAM_CHUNK_ENV, "99")
-        assert resolve_stream_chunk(7) == 7
-
-    def test_environment_beats_the_derived_default(self, monkeypatch):
-        monkeypatch.setenv(STREAM_CHUNK_ENV, "4096")
-        assert resolve_stream_chunk(None, oriented_ring(64)) == 4096
-
-    def test_derived_default_is_floored_and_capped(self, monkeypatch):
-        monkeypatch.delenv(STREAM_CHUNK_ENV, raising=False)
+    def test_derived_default_is_floored_and_capped(self):
         # Small graphs floor at the flat default (8 * 8**2 = 512).
-        assert resolve_stream_chunk(None, oriented_ring(8)) == DEFAULT_STREAM_CHUNK
+        assert resolve_stream_chunk(oriented_ring(8)) == DEFAULT_STREAM_CHUNK
         # Mid-size graphs scale with 8 * n**2.
-        assert resolve_stream_chunk(None, oriented_ring(64)) == 8 * 64**2
+        assert resolve_stream_chunk(oriented_ring(64)) == 8 * 64**2
         # Huge graphs cap (only num_nodes is read, so a stub suffices).
         huge = SimpleNamespace(num_nodes=4096)
-        assert resolve_stream_chunk(None, huge) == 1 << 18
-        assert resolve_stream_chunk(None, None) == DEFAULT_STREAM_CHUNK
-
-    def test_invalid_values_raise(self, monkeypatch):
-        with pytest.raises(ValueError, match=">= 1"):
-            resolve_stream_chunk(0)
-        monkeypatch.setenv(STREAM_CHUNK_ENV, "-3")
-        with pytest.raises(ValueError, match=STREAM_CHUNK_ENV):
-            resolve_stream_chunk()
-        monkeypatch.setenv(STREAM_CHUNK_ENV, "lots")
-        with pytest.raises(ValueError, match=STREAM_CHUNK_ENV):
-            resolve_stream_chunk()
+        assert resolve_stream_chunk(huge) == 1 << 18
 
 
 class TestWithoutNumpy:
@@ -427,9 +409,19 @@ class TestStartDependentHorizon:
     def test_whole_cube_path_rejects_start_dependent_horizons(self, ring12):
         algorithm = build_algorithm("fast", ring12)
         cube = ConfigCube.make(ring12, [(1, 2)], delays=(0,))
-        with pytest.raises(ValueError, match="engine 'batch'"):
-            cube_worst_case_search(
-                ring12, algorithm, cube, lambda config: 40 + config.starts[1]
+
+        def horizon(config):
+            return 40 + config.starts[1]
+
+        with pytest.raises(ValueError, match="as a plain iterable"):
+            cube_worst_case_search(ring12, algorithm, cube, horizon)
+        # The route the message names: the same configurations, flat.
+        for prune in (True, False):
+            report = cube_worst_case_search(
+                ring12, algorithm, list(cube), horizon, prune=prune
+            )
+            assert report == worst_case_search(
+                ring12, algorithm, list(cube), horizon, engine="reactive"
             )
 
     def test_stream_path_accepts_the_same_horizon(self, ring12):
