@@ -1,10 +1,10 @@
 """Shared helpers for the benchmark harness.
 
-Each ``bench_expNN_*`` module is a thin shim over its registered
-experiment in ``repro.experiments``: it runs the full-profile campaign
-for that experiment, prints the measured-vs-paper tables (bypassing
-pytest's capture so they land in the bench log), and asserts the
-verdict.  ``bench_engine.py`` (a standalone script, not a pytest module)
+``bench_experiments.py`` runs every registered experiment in
+``repro.experiments`` as one parametrized test: the full-profile
+campaign per experiment, its measured-vs-paper tables printed (bypassing
+pytest's capture so they land in the bench log), and the verdict
+asserted.  ``bench_engine.py`` (a standalone script, not a pytest module)
 tracks engine throughput separately.
 """
 

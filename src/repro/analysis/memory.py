@@ -14,7 +14,8 @@ dominant term is how the exploration is represented --
 * on a ring, ``ceil(log2 n)`` bits suffice to know ``n``.
 
 These functions compute the exact bit counts for concrete instances so
-the memory table of the paper can be regenerated (``bench_memory.py``).
+the memory table of the paper can be regenerated (the registered
+experiment ``memory``).
 """
 
 from __future__ import annotations

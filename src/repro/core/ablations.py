@@ -26,7 +26,10 @@ correct rendezvous algorithms in general** -- that is their purpose:
 
 The declared ``time_bound``/``cost_bound`` of these variants are the
 *horizons the adversary searches to* (generously above the original
-algorithms' bounds), not claims.
+algorithms' bounds), not claims.  Each variant only overrides
+:meth:`~repro.core.base.RendezvousAlgorithm.schedule`, so it declares
+``is_oblivious`` like the algorithm it weakens and sweeps run on the
+compiled or cube engine.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ class FastNoDelimiter(RendezvousAlgorithm):
     """Fast (simultaneous) without the ``01`` delimiter: not prefix-free."""
 
     name = "ablation:fast-no-delimiter"
+    is_oblivious = True
     requires_simultaneous_start = True
 
     def schedule(self, label: int) -> Schedule:
@@ -63,6 +67,7 @@ class FastNoDoubling(RendezvousAlgorithm):
     """Fast without the bit-doubling in ``T`` (keeps the leading 1)."""
 
     name = "ablation:fast-no-doubling"
+    is_oblivious = True
 
     def schedule(self, label: int) -> Schedule:
         self._check_label(label)
@@ -83,6 +88,7 @@ class CheapShortWait(RendezvousAlgorithm):
     """Cheap with waiting period ``l * E`` instead of ``2 l E``."""
 
     name = "ablation:cheap-short-wait"
+    is_oblivious = True
 
     def schedule(self, label: int) -> Schedule:
         self._check_label(label)

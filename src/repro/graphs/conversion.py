@@ -4,16 +4,19 @@
 invent them: ports at each node are assigned over the incident edges either
 in sorted neighbor order (deterministic, default) or shuffled with a
 provided random generator (to model adversarial port assignments).
+``networkx`` is not a declared dependency, so only :func:`to_networkx`
+imports it, when called.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Hashable, Mapping
-
-import networkx as nx
+from typing import TYPE_CHECKING, Hashable, Mapping
 
 from repro.graphs.port_graph import PortEdge, PortLabeledGraph
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 def from_networkx(
@@ -63,6 +66,8 @@ def to_networkx(graph: PortLabeledGraph) -> nx.Graph:
     The attribute ``ports`` on edge ``(u, v)`` is a dict
     ``{u: port_at_u, v: port_at_v}``.
     """
+    import networkx as nx
+
     result = nx.Graph()
     result.add_nodes_from(range(graph.num_nodes))
     for edge in graph.edges():

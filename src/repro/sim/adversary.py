@@ -6,6 +6,13 @@ realises that adversary: it enumerates (or samples) the configuration space
 and reports the configurations maximising time and cost, so measured
 numbers can be compared against the claimed bounds and each extreme can be
 replayed.
+
+Each execution substrate has one reducer from a configuration stream to
+the shared :class:`Reduction`: :func:`scan_reduce` for the reactive
+simulator and the compiled trajectory table,
+:func:`repro.sim.cube.cube_reduce` for the NumPy cube table.
+:func:`worst_case_search` and the runtime's shards
+(:func:`repro.runtime.worker.run_shard`) both call them.
 """
 
 from __future__ import annotations
@@ -195,6 +202,122 @@ def default_horizon(algorithm: Any, config: Configuration) -> int:
     return default_max_rounds(algorithm, config.labels, config.delay)
 
 
+@dataclass(frozen=True)
+class Extreme:
+    """One kept extreme: its stream position, what it measured, its horizon."""
+
+    position: int
+    config: Configuration
+    time: int
+    cost: int
+    horizon: int
+
+
+@dataclass(frozen=True)
+class Reduction:
+    """What every substrate's reducer returns for one configuration stream.
+
+    Positions count from 0 in stream order; ``failures`` are ``(position,
+    configuration)`` pairs and ``chunks`` counts vectorized passes (0
+    off the chunked stream path).  A runtime shard adds its lower bound
+    to turn positions into global indices.
+    """
+
+    worst_time: Extreme | None
+    worst_cost: Extreme | None
+    failures: tuple[tuple[int, Configuration], ...]
+    executions: int
+    chunks: int = 0
+
+    def report(self, table: Any, presence: PresenceModel) -> WorstCaseReport:
+        """The search report, each distinct extreme's result rebuilt once."""
+
+        def record(extreme: Extreme | None) -> ExtremeRecord | None:
+            if extreme is None:
+                return None
+            result = table.result(extreme.config, extreme.horizon, presence)
+            return ExtremeRecord(config=extreme.config, result=result)
+
+        worst_time = record(self.worst_time)
+        return WorstCaseReport(
+            worst_time=worst_time,
+            worst_cost=(
+                worst_time
+                if self.worst_cost == self.worst_time
+                else record(self.worst_cost)
+            ),
+            executions=self.executions,
+            failures=tuple(config for _, config in self.failures),
+        )
+
+
+class ReactiveTable:
+    """The round simulator behind the table interface the reducers walk.
+
+    Nothing is precomputed; :meth:`result` replays an extreme (the
+    simulation is deterministic) to rebuild its full record.
+    """
+
+    build_seconds = 0.0  # nothing to build
+
+    def __init__(self, graph: PortLabeledGraph, factory: ProgramFactory):
+        self.graph = graph
+        self.factory = factory
+
+    def result(
+        self, config: Configuration, max_rounds: int, presence: PresenceModel
+    ) -> RendezvousResult:
+        return simulate_rendezvous(
+            self.graph,
+            self.factory,
+            labels=config.labels,
+            starts=config.starts,
+            delay=config.delay,
+            max_rounds=max_rounds,
+            presence=presence,
+        )
+
+    def evaluate(
+        self, config: Configuration, max_rounds: int, presence: PresenceModel
+    ) -> tuple[int | None, int]:
+        result = self.result(config, max_rounds, presence)
+        return (result.time if result.met else None), result.cost
+
+
+def scan_reduce(
+    table: Any,
+    configs: Iterable[Configuration],
+    max_rounds: int | Callable[[Configuration], int],
+    presence: PresenceModel = PresenceModel.FROM_START,
+) -> Reduction:
+    """The per-configuration reducer of the reactive and compiled substrates.
+
+    ``table`` answers ``evaluate(config, horizon, presence)`` with
+    ``(meeting time or None, cost)`` -- a :class:`ReactiveTable` or a
+    :class:`~repro.sim.compiled.TrajectoryTable`.  ``configs`` is pulled
+    one at a time, never listed.  Strict-``>`` updates in stream order
+    keep the earliest maximiser of each metric, the tie-break that
+    :func:`repro.runtime.report.merge_reports` relies on.
+    """
+    worst_time: Extreme | None = None
+    worst_cost: Extreme | None = None
+    failures: list[tuple[int, Configuration]] = []
+    executions = 0
+    for position, config in enumerate(configs):
+        horizon = max_rounds(config) if callable(max_rounds) else max_rounds
+        time_, cost = table.evaluate(config, horizon, presence)
+        executions += 1
+        if time_ is None:
+            failures.append((position, config))
+            continue
+        extreme = None
+        if worst_time is None or time_ > worst_time.time:
+            worst_time = extreme = Extreme(position, config, time_, cost, horizon)
+        if worst_cost is None or cost > worst_cost.cost:
+            worst_cost = extreme or Extreme(position, config, time_, cost, horizon)
+    return Reduction(worst_time, worst_cost, tuple(failures), executions)
+
+
 #: Valid values of ``worst_case_search``'s ``engine`` argument.
 SEARCH_ENGINES = ("reactive", "compiled", "cube", "auto")
 
@@ -288,38 +411,9 @@ def worst_case_search(
             graph, factory, configs, max_rounds, presence, telemetry=telemetry
         )
 
-    worst_time: ExtremeRecord | None = None
-    worst_cost: ExtremeRecord | None = None
-    failures: list[Configuration] = []
-    executions = 0
-
+    table = ReactiveTable(graph, factory)
     with telemetry.span("reactive.search"):
-        for config in configs:
-            horizon = max_rounds(config) if callable(max_rounds) else max_rounds
-            result = simulate_rendezvous(
-                graph,
-                factory,
-                labels=config.labels,
-                starts=config.starts,
-                delay=config.delay,
-                max_rounds=horizon,
-                presence=presence,
-            )
-            executions += 1
-            if not result.met:
-                failures.append(config)
-                continue
-            record = ExtremeRecord(config=config, result=result)
-            if worst_time is None or record.time > worst_time.time:
-                worst_time = record
-            if worst_cost is None or record.cost > worst_cost.cost:
-                worst_cost = record
+        reduction = scan_reduce(table, configs, max_rounds, presence)
         if telemetry.enabled:
-            telemetry.count("configs.evaluated", executions)
-
-    return WorstCaseReport(
-        worst_time=worst_time,
-        worst_cost=worst_cost,
-        executions=executions,
-        failures=tuple(failures),
-    )
+            telemetry.count("configs.evaluated", reduction.executions)
+    return reduction.report(table, presence)

@@ -27,17 +27,20 @@ the stack) without NumPy raises :class:`BatchUnavailableError` with the
 install hint, and ``engine="auto"`` falls back to the compiled engine
 silently.
 
-Configuration streams are consumed in bounded chunks
-(:func:`evaluate_stream`), so arbitrarily large sweeps hold one chunk of
-configurations -- never the full adversarial space -- in memory.
+Configuration streams are consumed in bounded chunks by
+:func:`evaluate_stream`, the one chunked vectorized pass: it yields one
+measured chunk at a time, so arbitrarily large sweeps hold one chunk of
+configurations -- never the full adversarial space -- in memory.  The
+cube engine's stream reducer (:func:`repro.sim.cube.cube_reduce`) folds
+those chunks, for direct searches and runtime shards alike.
 """
 
 from __future__ import annotations
 
-# repro: allow-file(REP001) -- perf_counter here meters table builds and
-# chunk scans for telemetry gauges (build_seconds, on_chunk); results
-# flow only through Telemetry, never into RendezvousResult bytes, as the
-# inertness matrix in tests/obs proves dynamically.
+# repro: allow-file(REP001) -- perf_counter here meters table builds for
+# telemetry gauges (build_seconds); results flow only through Telemetry,
+# never into RendezvousResult bytes, as the inertness matrix in tests/obs
+# proves dynamically.
 
 import itertools
 import time
@@ -76,7 +79,7 @@ _MATRIX_CACHE_ELEMENTS = 1 << 24
 _DENSE_FRACTION = 8
 
 #: Fewest configurations pulled from a stream per chunk
-#: (:func:`stream_chunks`), however small the graph.
+#: (:func:`evaluate_stream`), however small the graph.
 DEFAULT_STREAM_CHUNK = 16384
 
 #: Hard ceiling on a graph-derived chunk size: past this, chunk-list
@@ -127,14 +130,6 @@ def resolve_stream_chunk(graph: PortLabeledGraph) -> int:
     """
     derived = 8 * graph.num_nodes**2
     return min(max(DEFAULT_STREAM_CHUNK, derived), _MAX_DERIVED_CHUNK)
-
-
-def stream_chunks(items: Iterable[Any], graph: PortLabeledGraph) -> Iterator[list]:
-    """Lists of at most :func:`resolve_stream_chunk` items, in order."""
-    chunk_size = resolve_stream_chunk(graph)
-    iterator = iter(items)
-    while chunk := list(itertools.islice(iterator, chunk_size)):
-        yield chunk
 
 
 @dataclass(frozen=True)
@@ -486,29 +481,24 @@ class BatchTimelineTable:
 
 def evaluate_stream(
     table: BatchTimelineTable,
-    items: Iterable[tuple[Any, Configuration, int]],
+    configs: Iterable[Configuration],
+    max_rounds: int | Callable[[Configuration], int],
     presence: PresenceModel = PresenceModel.FROM_START,
-    on_chunk: Callable[[int, float], None] | None = None,
-) -> Iterator[tuple[Any, Configuration, int, int | None, int]]:
-    """Measure a lazy ``(key, config, horizon)`` stream, preserving order.
+) -> Iterator[tuple[list[Configuration], list[int], Any, Any]]:
+    """The one chunked vectorized pass over a lazy configuration stream.
 
-    Pulls one :func:`stream_chunks` chunk at a time (the whole memory
-    footprint of an arbitrarily large sweep), vectorizes it through
-    :meth:`BatchTimelineTable.evaluate_arrays`, and yields ``(key, config,
-    horizon, time, cost)`` in the input order -- ``time`` is ``None``
-    where the agents do not meet -- the shape the runtime worker's shard
-    loop consumes.  ``on_chunk(size, seconds)`` is called once per
-    vectorized pass (telemetry's chunk-timing hook); it observes and must
-    never influence the measurements.
+    Pulls at most :func:`resolve_stream_chunk` configurations at a time,
+    resolves their horizons (``max_rounds`` is a constant or a function
+    of the configuration) and yields ``(configs, horizons, met, cost)``
+    per chunk, in input order: the :meth:`BatchTimelineTable.evaluate_arrays`
+    arrays, ``met == -1`` where the agents do not meet.
     """
-    for chunk in stream_chunks(items, table.graph):
-        configs = [config for _, config, _ in chunk]
-        horizons = [horizon for _, _, horizon in chunk]
-        started = time.perf_counter() if on_chunk is not None else 0.0
-        met, cost = table.evaluate_arrays(configs, horizons, presence)
-        if on_chunk is not None:
-            on_chunk(len(chunk), time.perf_counter() - started)
-        for (key, config, horizon), time_, total in zip(
-            chunk, met.tolist(), cost.tolist()
-        ):
-            yield key, config, horizon, (time_ if time_ >= 0 else None), total
+    chunk_size = resolve_stream_chunk(table.graph)
+    iterator = iter(configs)
+    while chunk := list(itertools.islice(iterator, chunk_size)):
+        if callable(max_rounds):
+            horizons = [max_rounds(config) for config in chunk]
+        else:
+            horizons = [max_rounds] * len(chunk)
+        met, cost = table.evaluate_arrays(chunk, horizons, presence)
+        yield chunk, horizons, met, cost

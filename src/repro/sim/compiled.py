@@ -20,7 +20,10 @@ including per-agent traces, crossing counts and tie-broken argmax
 configurations -- to what the reactive
 :func:`~repro.sim.adversary.worst_case_search` produces.  The cross-engine
 suite in ``tests/sim/test_compiled.py`` asserts exactly that over every
-registered algorithm x graph family x presence model x delay grid.
+registered algorithm x graph family x presence model x delay grid.  The
+reduce itself is :func:`~repro.sim.adversary.scan_reduce`, the one
+per-configuration loop shared with the reactive substrate and with the
+runtime's shards; this module supplies the table it walks.
 
 Compilation replays the *actual* agent program (the same generators the
 simulator would drive), so schedule semantics, exploration routes and
@@ -43,11 +46,7 @@ from typing import Callable, Iterable
 from repro.graphs.port_graph import PortLabeledGraph
 from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
 from repro.sim.actions import WAIT, Action, validate_action
-from repro.sim.adversary import (
-    Configuration,
-    ExtremeRecord,
-    WorstCaseReport,
-)
+from repro.sim.adversary import Configuration, WorstCaseReport, scan_reduce
 from repro.sim.metrics import RendezvousResult
 from repro.sim.observation import Observation
 from repro.sim.program import AgentContext, ProgramFactory, ReactiveProgram
@@ -434,34 +433,17 @@ def compiled_worst_case_search(
 ) -> WorstCaseReport:
     """The compiled engine behind ``worst_case_search(engine="compiled")``.
 
-    Identical update discipline to the reactive loop (strict ``>`` in
-    enumeration order, so ties keep the earliest configuration); the full
-    results of the two argmax records are reconstructed once at the end,
-    never per configuration.  Telemetry splits the sweep's wall clock
-    into table build (trajectory compilation) versus timeline scan.
+    Builds a :class:`TrajectoryTable` and reduces the stream through
+    :func:`~repro.sim.adversary.scan_reduce`, the reducer the runtime's
+    shards use too; the full results of the two argmax records are
+    reconstructed once at the end, never per configuration.  Telemetry
+    splits the sweep's wall clock into table build (trajectory
+    compilation) versus timeline scan.
     """
     table = TrajectoryTable(graph, factory)
-    worst_time: tuple[int, Configuration, int] | None = None
-    worst_cost: tuple[int, Configuration, int] | None = None
-    failures: list[Configuration] = []
-    executions = 0
-    constant_horizon = None if callable(max_rounds) else max_rounds
-
     with telemetry.span("compiled.search"):
         started = time.perf_counter()
-        for config in configs:
-            horizon = (
-                constant_horizon if constant_horizon is not None else max_rounds(config)
-            )
-            met_at, cost = table.evaluate(config, horizon, presence)
-            executions += 1
-            if met_at is None:
-                failures.append(config)
-                continue
-            if worst_time is None or met_at > worst_time[0]:
-                worst_time = (met_at, config, horizon)
-            if worst_cost is None or cost > worst_cost[0]:
-                worst_cost = (cost, config, horizon)
+        reduction = scan_reduce(table, configs, max_rounds, presence)
         if telemetry.enabled:
             elapsed = time.perf_counter() - started
             telemetry.gauge(
@@ -472,19 +454,5 @@ def compiled_worst_case_search(
                 round(max(elapsed - table.build_seconds, 0.0), 6),
             )
             telemetry.gauge("compiled.trajectories", len(table))
-            telemetry.count("configs.evaluated", executions)
-
-    def record(extreme: tuple[int, Configuration, int] | None) -> ExtremeRecord | None:
-        if extreme is None:
-            return None
-        _, config, horizon = extreme
-        return ExtremeRecord(
-            config=config, result=table.result(config, horizon, presence)
-        )
-
-    return WorstCaseReport(
-        worst_time=record(worst_time),
-        worst_cost=record(worst_cost),
-        executions=executions,
-        failures=tuple(failures),
-    )
+            telemetry.count("configs.evaluated", reduction.executions)
+    return reduction.report(table, presence)

@@ -30,6 +30,13 @@ byte-identity against the reactive engine with pruning on and off.
 With pruning off (``prune=False`` or ``REPRO_PRUNE=0``) every pass is
 the substrate's plain unpruned one.
 
+:func:`cube_reduce` is the substrate's one reducer: a :class:`ConfigCube`
+takes the whole-cube path, any other stream is folded chunk by chunk
+from :func:`repro.sim.batch.evaluate_stream`.  Both
+``worst_case_search(engine="cube")`` and the runtime's shards call it on
+a built table and receive the shared
+:class:`~repro.sim.adversary.Reduction`.
+
 NumPy availability is checked at call time through
 :mod:`repro.sim.batch`, so ``engine="cube"`` degrades with the same loud
 :class:`~repro.sim.batch.BatchUnavailableError` hint (naming ``'cube'``)
@@ -42,16 +49,17 @@ from __future__ import annotations
 # for telemetry gauges, exactly as in repro.sim.batch; results flow only
 # through Telemetry, never into report bytes.
 
+import functools
 import time
 from typing import Any, Callable, Iterable, Sequence
 
 from repro.graphs.port_graph import PortLabeledGraph
 from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
-from repro.sim import batch as batch_module
 from repro.sim.adversary import (
     ConfigCube,
     Configuration,
-    ExtremeRecord,
+    Extreme,
+    Reduction,
     WorstCaseReport,
 )
 from repro.sim.batch import (
@@ -59,7 +67,7 @@ from repro.sim.batch import (
     _MIN_TIME_BLOCK,
     BatchTimelineTable,
     LabelTimelines,
-    stream_chunks,
+    evaluate_stream,
 )
 from repro.sim.program import ProgramFactory
 from repro.sim.prune import (
@@ -136,7 +144,9 @@ def _delta_tables(
         first.costs[0][np.minimum(last, length1)]
         + second.costs[0][np.clip(last - delays[:, None], 0, length2)]
     )
-    stats.orbit_cells += count * (n * n - n)
+    # Each scanned slice scans n - 1 nonzero deltas (one start pair each)
+    # and rotation answers the other (n - 1)**2 of its n(n - 1) cells.
+    stats.orbit_cells += count * (n - 1) ** 2
     return met, cost
 
 
@@ -428,7 +438,7 @@ class CubeTimelineTable(BatchTimelineTable):
                 )
                 cost_full[p, index] = cost_full[p, pivot]
                 self.stats.dominated_slices += 1
-        self.stats.orbit_cells += pair_count * delay_count * (n * n - n)
+        self.stats.orbit_cells += group_count * (n - 1) ** 2  # as _delta_tables
         return met_full, cost_full
 
     def _ensure_matrices(
@@ -561,177 +571,156 @@ def _pair_horizons(
     return pairs
 
 
+class _Extremes:
+    """Running extremes over flat blocks folded in enumeration order.
+
+    ``argmax`` returns a block's *first* maximiser, and failures sit at
+    ``-1`` below any meeting time (costs are masked to ``-1``), so each
+    block's candidate is its earliest; with the strict-``>`` update
+    across blocks this is exactly the serial first-wins tie-break.
+    """
+
+    def __init__(self, np: Any) -> None:
+        self.np = np
+        self.worst_time: Extreme | None = None
+        self.worst_cost: Extreme | None = None
+        self.failures: list[tuple[int, Configuration]] = []
+
+    def fold(self, met: Any, cost: Any, offset: int, decode: Callable) -> None:
+        """Fold one block of flat arrays starting at stream ``offset``.
+
+        ``decode(i)`` is the ``(configuration, horizon)`` at block
+        position ``i``; only failures and winners are ever decoded.
+        """
+        missed = self.np.nonzero(met < 0)[0].tolist()
+        self.failures.extend((offset + i, decode(i)[0]) for i in missed)
+        if len(missed) == met.size:
+            return
+
+        def extreme(i: int) -> Extreme:
+            config, horizon = decode(i)
+            return Extreme(offset + i, config, int(met[i]), int(cost[i]), horizon)
+
+        i = int(met.argmax())
+        if self.worst_time is None or met[i] > self.worst_time.time:
+            self.worst_time = extreme(i)
+        masked_cost = self.np.where(met >= 0, cost, -1)
+        i = int(masked_cost.argmax())
+        if self.worst_cost is None or masked_cost[i] > self.worst_cost.cost:
+            self.worst_cost = extreme(i)
+
+    def reduction(self, executions: int, chunks: int = 0) -> Reduction:
+        return Reduction(
+            self.worst_time, self.worst_cost, tuple(self.failures), executions, chunks
+        )
+
+
 def _whole_cube_search(
-    np: Any,
     table: CubeTimelineTable,
     cube: ConfigCube,
     max_rounds: int | Callable[[Configuration], int],
     presence: PresenceModel,
-) -> tuple[
-    tuple[int, Configuration, int] | None,
-    tuple[int, Configuration, int] | None,
-    list[Configuration],
-    int,
-]:
+) -> Reduction:
     """Answer a full :class:`ConfigCube` without materializing configs.
 
     No :class:`Configuration` objects exist on this path until an argmax
     winner or a failure is decoded.  On a certified-cyclic sweep the
     whole cube is one stacked pass (:meth:`CubeTimelineTable.cube_delta_tables`)
-    followed by a single delta-gathered argmax in global enumeration
-    order; otherwise per-pair tensor passes run with flat positions
-    ``start_index * D + delay_index`` per pair -- the enumeration order
-    -- and ``argmax`` returns the first maximiser, so combined with the
-    strict-``>`` update across pairs either route is exactly the serial
-    first-wins tie-break.
+    folded as a single block in global enumeration order; otherwise each
+    label pair's tensor pass is one block, at offset ``pair_index * S *
+    D`` with positions ``start_index * D + delay_index`` inside it.
     """
+    np = table._np
+    extremes = _Extremes(np)
+    if not len(cube):
+        return extremes.reduction(0)
     start_pairs = cube.start_pairs
     delays = cube.delays
     delay_count = len(delays)
-    worst_time: tuple[int, Configuration, int] | None = None
-    worst_cost: tuple[int, Configuration, int] | None = None
-    failures: list[Configuration] = []
-    executions = 0
-    if not len(cube):
-        return worst_time, worst_cost, failures, executions
+    block = len(start_pairs) * delay_count  # one label pair's configurations
+    pair_horizons = [
+        _pair_horizons(cube, labels, max_rounds) for labels in cube.label_pairs
+    ]
 
-    if table.certificate.orbit:
-        pair_horizons = [
-            _pair_horizons(cube, labels, max_rounds)
-            for labels in cube.label_pairs
-        ]
-        tables = table.cube_delta_tables(
-            cube.label_pairs, pair_horizons, presence
+    def decode(pair_index: int, position: int) -> tuple[Configuration, int]:
+        start_index, delay_index = divmod(position, delay_count)
+        config = Configuration(
+            labels=cube.label_pairs[pair_index],
+            starts=start_pairs[start_index],
+            delay=delays[delay_index],
         )
-        if tables is not None:
-            met_rows, cost_rows = tables  # (P, D, n)
-            n = table.graph.num_nodes
-            delta = np.array(
-                [(v - u) % n for u, v in start_pairs], dtype=np.intp
-            )
-            start_count = len(start_pairs)
-            # (P, D, S) -> (P, S, D) -> flat row-major = enumeration order.
-            met_flat = (
-                met_rows[:, :, delta].transpose(0, 2, 1).reshape(-1)
-            )
-            cost_flat = (
-                cost_rows[:, :, delta].transpose(0, 2, 1).reshape(-1)
-            )
-            executions = int(met_flat.size)
+        return config, pair_horizons[pair_index][delay_index][1]
 
-            def decode_flat(position: int) -> tuple[Configuration, int]:
-                pair_index, rest = divmod(position, start_count * delay_count)
-                start_index, delay_index = divmod(rest, delay_count)
-                config = Configuration(
-                    labels=cube.label_pairs[pair_index],
-                    starts=start_pairs[start_index],
-                    delay=delays[delay_index],
-                )
-                return config, pair_horizons[pair_index][delay_index][1]
-
-            for position in np.nonzero(met_flat < 0)[0].tolist():
-                failures.append(decode_flat(position)[0])
-            if int(met_flat.max()) >= 0:
-                position = int(met_flat.argmax())
-                config, horizon = decode_flat(position)
-                worst_time = (int(met_flat[position]), config, horizon)
-                masked_cost = np.where(met_flat >= 0, cost_flat, -1)
-                position = int(masked_cost.argmax())
-                config, horizon = decode_flat(position)
-                worst_cost = (int(masked_cost[position]), config, horizon)
-            return worst_time, worst_cost, failures, executions
+    tables = (
+        table.cube_delta_tables(cube.label_pairs, pair_horizons, presence)
+        if table.certificate.orbit
+        else None
+    )
+    if tables is not None:
+        met_rows, cost_rows = tables  # (P, D, n)
+        n = table.graph.num_nodes
+        delta = np.array([(v - u) % n for u, v in start_pairs], dtype=np.intp)
+        # (P, D, S) -> (P, S, D) -> flat row-major = enumeration order.
+        extremes.fold(
+            met_rows[:, :, delta].transpose(0, 2, 1).reshape(-1),
+            cost_rows[:, :, delta].transpose(0, 2, 1).reshape(-1),
+            0,
+            lambda position: decode(*divmod(position, block)),
+        )
+        return extremes.reduction(len(cube))
 
     s1 = np.array([pair[0] for pair in start_pairs], dtype=np.intp)
     s2 = np.array([pair[1] for pair in start_pairs], dtype=np.intp)
-
-    def decode(position: int, labels: tuple[int, int]) -> Configuration:
-        return Configuration(
-            labels=labels,
-            starts=start_pairs[position // delay_count],
-            delay=delays[position % delay_count],
+    for pair_index, labels in enumerate(cube.label_pairs):
+        met, cost = table.pair_cube(
+            labels, pair_horizons[pair_index], presence, s1, s2
         )
-
-    for labels in cube.label_pairs:
-        delay_horizons = _pair_horizons(cube, labels, max_rounds)
-        met, cost = table.pair_cube(labels, delay_horizons, presence, s1, s2)
-        flat_met = met.reshape(-1)
-        executions += int(flat_met.size)
-        missed = np.nonzero(flat_met < 0)[0]
-        for position in missed.tolist():
-            failures.append(decode(position, labels))
-        if missed.size == flat_met.size:
-            continue
-        position = int(flat_met.argmax())
-        if worst_time is None or int(flat_met[position]) > worst_time[0]:
-            worst_time = (
-                int(flat_met[position]),
-                decode(position, labels),
-                delay_horizons[position % delay_count][1],
-            )
-        masked_cost = np.where(flat_met >= 0, cost.reshape(-1), -1)
-        position = int(masked_cost.argmax())
-        if worst_cost is None or int(masked_cost[position]) > worst_cost[0]:
-            worst_cost = (
-                int(masked_cost[position]),
-                decode(position, labels),
-                delay_horizons[position % delay_count][1],
-            )
-    return worst_time, worst_cost, failures, executions
+        extremes.fold(
+            met.reshape(-1),
+            cost.reshape(-1),
+            pair_index * block,
+            functools.partial(decode, pair_index),
+        )
+    return extremes.reduction(len(cube))
 
 
 def _stream_search(
-    np: Any,
     table: CubeTimelineTable,
     configs: Iterable[Configuration],
     max_rounds: int | Callable[[Configuration], int],
     presence: PresenceModel,
-) -> tuple[
-    tuple[int, Configuration, int] | None,
-    tuple[int, Configuration, int] | None,
-    list[Configuration],
-    int,
-    int,
-]:
+) -> Reduction:
     """The chunked reducer for arbitrary configuration streams.
 
-    Pulls :func:`repro.sim.batch.stream_chunks` chunks and answers each
-    through :meth:`CubeTimelineTable.evaluate_arrays`.  ``argmax``
-    returns the *first* maximiser, and failures sit at ``-1`` below any
-    meeting time (costs are masked to ``-1``), so each chunk's candidate
-    carries the lowest in-chunk position; with the strict-``>`` update
-    across chunks this is exactly the serial first-wins tie-break.
+    Folds each :func:`repro.sim.batch.evaluate_stream` chunk as one
+    block; the chunk count rides on the reduction.
     """
-    horizon_of = max_rounds if callable(max_rounds) else None
-    worst_time: tuple[int, Configuration, int] | None = None
-    worst_cost: tuple[int, Configuration, int] | None = None
-    failures: list[Configuration] = []
-    executions = 0
-    chunks = 0
-    for chunk in stream_chunks(configs, table.graph):
+    extremes = _Extremes(table._np)
+    offset = chunks = 0
+    for chunk, horizons, met, cost in evaluate_stream(
+        table, configs, max_rounds, presence
+    ):
+        extremes.fold(met, cost, offset, lambda i: (chunk[i], horizons[i]))
+        offset += len(chunk)
         chunks += 1
-        if horizon_of is not None:
-            horizons = [horizon_of(config) for config in chunk]
-        else:
-            horizons = [max_rounds] * len(chunk)
-        met, cost = table.evaluate_arrays(chunk, horizons, presence)
-        executions += len(chunk)
-        missed = np.nonzero(met < 0)[0]
-        for position in missed.tolist():
-            failures.append(chunk[position])
-        if missed.size == len(chunk):
-            continue
-        position = int(met.argmax())
-        if worst_time is None or met[position] > worst_time[0]:
-            worst_time = (int(met[position]), chunk[position], horizons[position])
-        masked_cost = np.where(met >= 0, cost, -1)
-        position = int(masked_cost.argmax())
-        if worst_cost is None or masked_cost[position] > worst_cost[0]:
-            worst_cost = (
-                int(masked_cost[position]),
-                chunk[position],
-                horizons[position],
-            )
-    return worst_time, worst_cost, failures, executions, chunks
+    return extremes.reduction(offset, chunks)
+
+
+def cube_reduce(
+    table: CubeTimelineTable,
+    configs: Iterable[Configuration],
+    max_rounds: int | Callable[[Configuration], int],
+    presence: PresenceModel = PresenceModel.FROM_START,
+) -> Reduction:
+    """The cube substrate's reducer, shared by searches and runtime shards.
+
+    A :class:`ConfigCube` over the table's graph takes the whole-cube
+    tensor path (configurations never materialize); any other iterable
+    streams in bounded chunks over the same table.
+    """
+    if isinstance(configs, ConfigCube) and configs.graph == table.graph:
+        return _whole_cube_search(table, configs, max_rounds, presence)
+    return _stream_search(table, configs, max_rounds, presence)
 
 
 def cube_worst_case_search(
@@ -745,26 +734,16 @@ def cube_worst_case_search(
 ) -> WorstCaseReport:
     """The cube engine behind ``worst_case_search(engine="cube")``.
 
-    A :class:`ConfigCube` input takes the whole-cube tensor path
-    (configurations never materialize); any other iterable streams in
-    bounded chunks over the same table.  ``prune=None`` resolves
-    through :func:`repro.sim.prune.resolve_prune`; pruned and unpruned
-    reports are byte-identical.  Telemetry splits build versus scan
-    seconds and meters every prune avenue.
+    Builds a :class:`CubeTimelineTable` and reduces through
+    :func:`cube_reduce`.  ``prune=None`` resolves through
+    :func:`repro.sim.prune.resolve_prune`; pruned and unpruned reports
+    are byte-identical.  Telemetry splits build versus scan seconds and
+    meters every prune avenue.
     """
-    np = batch_module.require_numpy("cube")
     table = CubeTimelineTable(graph, factory, prune=prune)
-    chunks = 0
     with telemetry.span("cube.search"):
         started = time.perf_counter()
-        if isinstance(configs, ConfigCube) and configs.graph == graph:
-            worst_time, worst_cost, failures, executions = _whole_cube_search(
-                np, table, configs, max_rounds, presence
-            )
-        else:
-            worst_time, worst_cost, failures, executions, chunks = (
-                _stream_search(np, table, configs, max_rounds, presence)
-            )
+        reduction = cube_reduce(table, configs, max_rounds, presence)
         if telemetry.enabled:
             elapsed = time.perf_counter() - started
             telemetry.gauge(
@@ -774,8 +753,8 @@ def cube_worst_case_search(
                 "cube.scan_seconds",
                 round(max(elapsed - table.build_seconds, 0.0), 6),
             )
-            telemetry.count("cube.chunks", chunks)
-            telemetry.count("configs.evaluated", executions)
+            telemetry.count("cube.chunks", reduction.chunks)
+            telemetry.count("configs.evaluated", reduction.executions)
             stats = table.stats
             telemetry.count("cube.prune.orbit_cells", stats.orbit_cells)
             telemetry.count(
@@ -784,20 +763,4 @@ def cube_worst_case_search(
             telemetry.count(
                 "cube.prune.early_exit_rounds", stats.early_exit_rounds
             )
-
-    def record(
-        extreme: tuple[int, Configuration, int] | None,
-    ) -> ExtremeRecord | None:
-        if extreme is None:
-            return None
-        _, config, horizon = extreme
-        return ExtremeRecord(
-            config=config, result=table.result(config, horizon, presence)
-        )
-
-    return WorstCaseReport(
-        worst_time=record(worst_time),
-        worst_cost=record(worst_cost),
-        executions=executions,
-        failures=tuple(failures),
-    )
+    return reduction.report(table, presence)

@@ -15,7 +15,9 @@ algorithm gathers ``k`` agents within its two-agent worst-case time: all
 leaders run their full schedules from round 1, so any two surviving
 groups trace exactly the two-agent execution of their leaders and must
 meet by its bound -- past that bound only one group can remain.  The
-benchmark ``bench_gathering_extension.py`` measures this claim.
+registered experiment ``gathering`` (``python -m repro experiments run
+gathering``, or ``benchmarks/bench_experiments.py -k gathering``)
+measures this claim.
 
 Only simultaneous start is supported (delays would let a sleeping agent
 with a smaller label wake inside a moving group, which needs a leadership

@@ -318,10 +318,3 @@ class PruneStats:
     orbit_cells: int = 0
     dominated_slices: int = 0
     early_exit_rounds: int = 0
-
-    def as_dict(self) -> dict[str, int]:
-        return {
-            "orbit_cells": self.orbit_cells,
-            "dominated_slices": self.dominated_slices,
-            "early_exit_rounds": self.early_exit_rounds,
-        }

@@ -180,18 +180,20 @@ class TestWorkerTableCache:
         outlive a ``REPRO_PRUNE`` change in every worker of the process.
         """
         pytest.importorskip("numpy")
-        import repro.runtime.worker as worker_module
         from repro.api import Scenario
+        from repro.sim.cube import CubeTimelineTable
         from repro.sim.prune import PRUNE_ENV
 
+        # Spy where every shard's configurations are measured: whichever
+        # table the worker hands its reducer answers evaluate_arrays.
         seen = []
-        original = worker_module.evaluate_stream
+        original = CubeTimelineTable.evaluate_arrays
 
         def spy(table, *args, **kwargs):
             seen.append(table.prune)
             return original(table, *args, **kwargs)
 
-        monkeypatch.setattr(worker_module, "evaluate_stream", spy)
+        monkeypatch.setattr(CubeTimelineTable, "evaluate_arrays", spy)
         scenario = Scenario(
             graph="ring",
             graph_params={"n": 7},

@@ -173,31 +173,31 @@ class TestEvaluateStream:
         table = batch_module.BatchTimelineTable(ring12, algorithm)
         reference = TrajectoryTable(ring12, algorithm)
         configs = list(configurations(ring12, all_label_pairs(3), delays=(0, 3)))
-        items = [
-            (index, config, default_horizon(algorithm, config))
-            for index, config in enumerate(configs)
-        ]
+
+        def horizon(config):
+            return default_horizon(algorithm, config)
+
         force_chunk_size(monkeypatch, 7)
-        chunks = []
-        out = list(
-            evaluate_stream(
-                table,
-                iter(items),
-                on_chunk=lambda size, seconds: chunks.append(size),
-            )
-        )
-        assert chunks == [7] * (len(items) // 7) + [len(items) % 7]
-        assert [key for key, *_ in out] == list(range(len(configs)))
-        for key, config, horizon, time, cost in out:
-            assert config is configs[key]
-            assert (time, cost) == reference.evaluate(config, horizon)
-            assert time is None or isinstance(time, int)
-            assert isinstance(cost, int)
+        out = list(evaluate_stream(table, iter(configs), horizon))
+        assert [len(chunk) for chunk, *_ in out] == [7] * (len(configs) // 7) + [
+            len(configs) % 7
+        ]
+        streamed = [config for chunk, *_ in out for config in chunk]
+        assert len(streamed) == len(configs)
+        assert all(a is b for a, b in zip(streamed, configs))
+        for chunk, horizons, met, cost in out:
+            assert len(horizons) == len(met) == len(cost) == len(chunk)
+            for config, rounds, time, total in zip(
+                chunk, horizons, met.tolist(), cost.tolist()
+            ):
+                assert rounds == horizon(config)
+                measured = (time if time >= 0 else None, total)
+                assert measured == reference.evaluate(config, rounds)
 
     def test_empty_stream_yields_nothing(self, ring12):
         algorithm = build_algorithm("fast", ring12)
         table = batch_module.BatchTimelineTable(ring12, algorithm)
-        assert list(evaluate_stream(table, [])) == []
+        assert list(evaluate_stream(table, [], 1)) == []
 
 
 @requires_numpy

@@ -63,6 +63,12 @@ def small_instance(family: str):
     return GRAPH_FAMILIES.entry(family).build(**SMALL_FAMILIES[family])
 
 
+class UndeclaredShortWait(CheapShortWait):
+    """A schedule-driven algorithm that does not declare ``is_oblivious``."""
+
+    is_oblivious = False
+
+
 def build_algorithm(name: str, graph):
     return AlgorithmSpec(name, label_space=LABEL_SPACE).build(graph)
 
@@ -196,10 +202,10 @@ class TestEngineSelection:
         assert calls == ["compiled"]
 
     def test_auto_falls_back_to_reactive_for_undeclared_factories(self, ring12):
-        # Ablations are schedule-driven but deliberately undeclared; under
-        # "auto" they stay on the reactive engine, and the explicit
-        # "compiled" override still works because they really are schedules.
-        algorithm = CheapShortWait(RingExploration(12), label_space=LABEL_SPACE)
+        # An undeclared factory stays on the reactive engine under "auto",
+        # and the explicit "compiled" override still works because this
+        # one really is a schedule.
+        algorithm = UndeclaredShortWait(RingExploration(12), label_space=LABEL_SPACE)
         assert not algorithm.is_oblivious
         configs = list(configurations(ring12, [(1, 2)], delays=(0,)))
 

@@ -17,7 +17,6 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.core.ablations import CheapShortWait
 from repro.exploration.ring import RingExploration
 from repro.graphs.families import oriented_ring
 from repro.obs.telemetry import Telemetry
@@ -59,6 +58,7 @@ from repro.sim.simulator import PresenceModel
 from tests.sim.test_compiled import (
     LABEL_SPACE,
     SMALL_FAMILIES,
+    UndeclaredShortWait,
     build_algorithm,
     delay_grid,
     small_instance,
@@ -219,9 +219,9 @@ class TestCertification:
         assert "rotation" in certificate.reason
 
     def test_undeclared_factory_fails_the_behavioural_gate(self, ring12):
-        ablation = CheapShortWait(RingExploration(12), label_space=LABEL_SPACE)
-        assert not start_oblivious_factory(ablation)
-        certificate = certify_symmetry(ring12, ablation)
+        undeclared = UndeclaredShortWait(RingExploration(12), label_space=LABEL_SPACE)
+        assert not start_oblivious_factory(undeclared)
+        certificate = certify_symmetry(ring12, undeclared)
         assert not certificate.orbit
         assert "start_oblivious" in certificate.reason
 
@@ -327,15 +327,36 @@ class TestTelemetryMeters:
         counters = telemetry.counters
         assert counters["configs.evaluated"] == len(cube)
         assert counters["cube.chunks"] == 0  # whole-cube path, no chunking
-        assert counters["cube.prune.orbit_cells"] == len(pairs) * 3 * (
-            12 * 12 - 12
-        )
         # Both past-schedule delays share K = max schedule length, so one
-        # slice per label pair derives from its pivot.
+        # slice per label pair derives from its pivot; the other two are
+        # scanned, and rotation answers (n - 1)**2 cells of each.
         assert counters["cube.prune.dominated_slices"] == len(pairs)
+        assert counters["cube.prune.orbit_cells"] == len(pairs) * 2 * 11**2
         assert report == worst_case_search(
             ring12, algorithm, list(cube), horizon, engine="reactive"
         )
+
+    def test_orbit_cells_count_rotation_answered_cells_on_both_paths(self):
+        ring = oriented_ring(5)
+        algorithm = build_algorithm("fast", ring)
+        cube = ConfigCube.make(ring, [(1, 2), (2, 1)], delays=(0, 1))
+
+        def horizon(config):
+            return default_horizon(algorithm, config)
+
+        counters = []
+        for configs in (cube, list(cube)):  # whole-cube path, stream path
+            telemetry = Telemetry()
+            cube_worst_case_search(
+                ring, algorithm, configs, horizon, telemetry=telemetry
+            )
+            counters.append(telemetry.counters)
+        for counted in counters:
+            assert counted["cube.prune.dominated_slices"] == 0
+            # 2 label pairs x 2 scanned delay slices: each slice scans its
+            # 4 nonzero deltas and rotation answers the other (5 - 1)**2
+            # of its 5 * 4 ordered start pairs.
+            assert counted["cube.prune.orbit_cells"] == 2 * 2 * 4**2
 
     def test_disabled_pruning_meters_nothing(self, ring12):
         algorithm = build_algorithm("fast", ring12)

@@ -1,6 +1,7 @@
 """Sanity tests of the public API surface and the shipped documentation."""
 
 import importlib
+import importlib.util
 import pathlib
 
 import pytest
@@ -56,6 +57,15 @@ class TestShippedDocs:
         assert len(examples) >= 3
 
     def test_benchmarks_cover_every_experiment(self):
-        benches = {p.name for p in (REPO_ROOT / "benchmarks").glob("bench_*.py")}
+        # One parametrized bench runs every registered experiment.
+        from repro.experiments import all_experiments
+
+        path = REPO_ROOT / "benchmarks" / "bench_experiments.py"
+        spec = importlib.util.spec_from_file_location("bench_experiments", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        (mark,) = module.test_experiment.pytestmark
+        benched = set(mark.args[1])
         for exp in range(1, 13):
-            assert any(f"exp{exp:02d}" in name for name in benches), exp
+            assert f"exp{exp:02d}" in benched, exp
+        assert benched == {experiment.id for experiment in all_experiments()}
