@@ -9,8 +9,10 @@ over the compiled one on the dense (all start pairs, wide delay grid)
 sweep streamed as a flat list (the :mod:`repro.sim.batch` substrate's
 vectorized passes), and the whole-cube tensor path's speedup over that
 stream on the same sweep handed over as a ``ConfigCube`` (cross-label
-tensor passes plus orbit/dominance pruning).  The engine comparison
-doubles as the perf baseline:
+tensor passes plus orbit/dominance pruning), and the front door
+(``Scenario.run``, which shards the sweep through the runtime) against
+that whole-cube path on the same sweep.  The engine comparison doubles
+as the perf baseline:
 ``python benchmarks/bench_engine.py`` (or the pytest bench, or the CI
 smoke job) rewrites ``BENCH_engine.json`` at the repository root so the
 numbers are tracked PR over PR.
@@ -18,8 +20,11 @@ numbers are tracked PR over PR.
 
 import json
 import pathlib
+import statistics
 import time
 
+import repro.runtime.worker as worker_module
+from repro.api import Scenario
 from repro.core.cheap import CheapSimultaneous
 from repro.core.fast import Fast, FastSimultaneous
 from repro.exploration.ring import RingExploration
@@ -222,6 +227,7 @@ def compiled_engine_baseline(path: pathlib.Path | None = BASELINE_PATH) -> dict:
         },
         "unpruned_vs_compiled": unpruned_engine_baseline(graph, algorithm),
         "cube_vs_unpruned": cube_engine_baseline(graph, algorithm),
+        "frontdoor_vs_cube": frontdoor_baseline(graph, algorithm),
         "runtime": runtime_baseline(),
         "reports_identical": True,
     }
@@ -233,6 +239,31 @@ def compiled_engine_baseline(path: pathlib.Path | None = BASELINE_PATH) -> dict:
 #: The dense unpruned-vs-compiled delay grid: wide enough that per-
 #: configuration scanning, not trajectory compilation, dominates both.
 DENSE_DELAYS = (0, 1, 2, 3, 5, 7, 11, 15)
+
+#: Timed passes of a repeated row, after one untimed warm-up pass.
+REPEATS = 5
+
+#: The front door may take at most this many times the direct whole-cube
+#: search on the dense sweep (sharding, horizon resolution, merge).
+FRONTDOOR_MAX_RATIO = 3
+
+
+def _warm_median(run):
+    """One warm-up ``run()``, then :data:`REPEATS` timed ones.
+
+    ``run`` returns ``(outcome, seconds, ...)``; the result is the last
+    timed pass's tuple and the ``{median, min, max}`` seconds.
+    """
+    run()
+    passes = [run() for _ in range(REPEATS)]
+    seconds = sorted(outcome[1] for outcome in passes)
+    spread = {
+        "seconds": round(statistics.median(seconds), 4),
+        "min_seconds": round(seconds[0], 4),
+        "max_seconds": round(seconds[-1], 4),
+        "repeats": REPEATS,
+    }
+    return passes[-1], spread
 
 
 def _best_of_two(engine, graph, algorithm, workload, horizon, prune=None):
@@ -320,9 +351,10 @@ def cube_engine_baseline(graph, algorithm) -> dict | None:
     unpruned, unpruned_seconds, unpruned_sink = _best_of_two(
         "cube", graph, algorithm, configs, horizon, prune=False
     )
-    cube_report, cube_seconds, cube_sink = _best_of_two(
-        "cube", graph, algorithm, cube, horizon
+    (cube_report, _, cube_sink), cube_spread = _warm_median(
+        lambda: _instrumented_search("cube", graph, algorithm, cube, horizon)
     )
+    cube_seconds = cube_spread["seconds"]
 
     assert cube_report == unpruned, "engines diverged; do not record a baseline"
     assert not cube_report.failures
@@ -341,11 +373,79 @@ def cube_engine_baseline(graph, algorithm) -> dict | None:
             "stages": _engine_stages(unpruned_sink, "cube"),
         },
         "cube": {
-            "seconds": round(cube_seconds, 4),
+            **cube_spread,
             "configs_per_s": round(len(configs) / cube_seconds, 1),
             "stages": _engine_stages(cube_sink, "cube"),
         },
         "speedup": round(unpruned_seconds / cube_seconds, 2),
+    }
+
+
+def frontdoor_baseline(graph, algorithm) -> dict | None:
+    """``Scenario.run`` vs the direct whole-cube search on the dense sweep.
+
+    The front door plans 16 shards, hands each to the cube engine as a
+    window of the sweep's :class:`~repro.sim.adversary.ConfigCube` and
+    merges them; every pass starts from cold worker tables (in-process,
+    ``workers=1``, no run store), as a fresh process would.  The kernel
+    leg is ``worst_case_search(engine="cube")`` on the same cube, which
+    builds its own table per call.  Both legs are timed as one warm-up
+    plus the median of :data:`REPEATS`.  Returns ``None`` without NumPy.
+    """
+    if not numpy_available():
+        return None
+    cube = ConfigCube.make(graph, all_label_pairs(8), delays=DENSE_DELAYS)
+    scenario = Scenario(
+        graph="ring",
+        graph_params={"n": 16},
+        algorithm="fast",
+        label_space=8,
+        delays=DENSE_DELAYS,
+        fix_first_start=False,
+    )
+
+    def horizon(config):
+        return default_horizon(algorithm, config)
+
+    def frontdoor():
+        for memo in vars(worker_module).values():
+            if hasattr(memo, "cache_clear"):
+                memo.cache_clear()
+        started = time.perf_counter()
+        run = scenario.run(engine="cube", workers=1, cache=False)
+        return run, time.perf_counter() - started
+
+    (run, _), door = _warm_median(frontdoor)
+    (kernel_report, _, _), kernel = _warm_median(
+        lambda: _instrumented_search("cube", graph, algorithm, cube, horizon)
+    )
+    row = run.row
+    assert (row.executions, row.max_time, row.max_cost) == (
+        kernel_report.executions,
+        kernel_report.max_time,
+        kernel_report.max_cost,
+    ), "front door diverged from the kernel; do not record a baseline"
+    assert row.worst_time_config == kernel_report.worst_time.config
+    assert row.worst_cost_config == kernel_report.worst_cost.config
+    return {
+        "sweep": {
+            "algorithm": "fast",
+            "graph": "ring(n=16)",
+            "label_space": 8,
+            "delays": list(DENSE_DELAYS),
+            "fix_first_start": False,
+            "configurations": len(cube),
+            "shards": run.stats.shards_total,
+        },
+        "frontdoor": {
+            **door,
+            "configs_per_s": round(len(cube) / door["seconds"], 1),
+        },
+        "cube": {
+            **kernel,
+            "configs_per_s": round(len(cube) / kernel["seconds"], 1),
+        },
+        "ratio": round(door["seconds"] / kernel["seconds"], 2),
     }
 
 
@@ -388,8 +488,9 @@ def runtime_baseline() -> dict:
 
 def test_engine_compiled_sweep_speedup(report):
     """Compiled trajectories must beat the reactive sweep by >= 10x, the
-    unpruned cube stream the compiled one by >= 3x, and the whole-cube
-    path the unpruned stream by >= 10x (when NumPy is present).
+    unpruned cube stream the compiled one by >= 3x, the whole-cube path
+    the unpruned stream by >= 10x, and the front door must stay within
+    3x of the whole-cube path (the last three when NumPy is present).
 
     Also refreshes the ``BENCH_engine.json`` baseline, so running the
     bench suite keeps the recorded perf trajectory current.
@@ -424,12 +525,22 @@ def test_engine_compiled_sweep_speedup(report):
             f"({cube['cube']['configs_per_s']:.0f} configs/s) "
             f"-> speedup x{cube['speedup']:.1f}"
         )
+    door = baseline["frontdoor_vs_cube"]
+    if door is not None:
+        lines.append(
+            f"front door ({door['sweep']['shards']} shards): "
+            f"Scenario.run {door['frontdoor']['seconds'] * 1000:.0f} ms, "
+            f"cube {door['cube']['seconds'] * 1000:.0f} ms "
+            f"-> ratio x{door['ratio']:.2f}"
+        )
     report(lines)
     assert versus["speedup"] >= 10
     if unpruned is not None:
         assert unpruned["speedup"] >= 3
     if cube is not None:
         assert cube["speedup"] >= 10
+    if door is not None:
+        assert door["ratio"] <= FRONTDOOR_MAX_RATIO
 
 
 def test_engine_runtime_parallel_speedup(benchmark, report):
@@ -462,8 +573,9 @@ if __name__ == "__main__":
     # The CI smoke job runs this directly (no pytest needed): regenerate
     # the baseline, print it, and fail loudly if the engines diverge or a
     # speedup regresses (compiled below 10x reactive; the unpruned cube
-    # stream below 3x compiled and the whole-cube path below 10x the
-    # unpruned stream whenever NumPy is installed).
+    # stream below 3x compiled, the whole-cube path below 10x the
+    # unpruned stream and the front door above 3x the whole-cube path
+    # whenever NumPy is installed).
     summary = compiled_engine_baseline()
     print(json.dumps(summary, indent=2))
     if summary["compiled_vs_reactive"]["speedup"] < 10:
@@ -484,4 +596,11 @@ if __name__ == "__main__":
     elif cube_summary["speedup"] < 10:
         raise SystemExit(
             f"cube engine speedup regressed to x{cube_summary['speedup']}"
+        )
+    door_summary = summary["frontdoor_vs_cube"]
+    if door_summary is None:
+        print("numpy not installed: front-door baseline skipped")
+    elif door_summary["ratio"] > FRONTDOOR_MAX_RATIO:
+        raise SystemExit(
+            f"front door regressed to x{door_summary['ratio']} the cube kernel"
         )

@@ -7,11 +7,13 @@ objects from the description, so a :class:`JobSpec` can be pickled to a
 pool, serialized to JSON for the run store, and hashed into a stable
 content address.
 
-The configuration space of a job is totally ordered (the enumeration order
-of :func:`repro.sim.adversary.configurations`); a *shard* is a contiguous
-slice ``[lo, hi)`` of that order.  Each configuration therefore has a
-global index, which downstream merge logic uses for tie-breaking so that
-sharded results are bit-identical to a serial enumeration.
+The configuration space of a job is a :class:`repro.sim.adversary.ConfigCube`,
+totally ordered (the enumeration order of
+:func:`repro.sim.adversary.configurations`); a *shard* is a contiguous
+window ``[lo, hi)`` of that order (:meth:`JobSpec.shard_cube`).  Each
+configuration therefore has a global index, which downstream merge logic
+uses for tie-breaking so that sharded results are bit-identical to a
+serial enumeration.
 
 Every name in a spec (graph family, algorithm, knowledge model, presence
 model) resolves through the named registries in :mod:`repro.registry`;
@@ -36,10 +38,9 @@ from repro.registry import (
     KNOWLEDGE_MODELS,
 )
 from repro.sim.adversary import (
+    ConfigCube,
     Configuration,
     all_label_pairs,
-    configurations,
-    default_start_pairs,
 )
 
 
@@ -285,47 +286,39 @@ class JobSpec:
     def config_space_size(self, graph: PortLabeledGraph | None = None) -> int:
         """Total number of configurations, without simulating any."""
         graph = graph if graph is not None else self.graph.build()
-        starts = len(default_start_pairs(graph, self.fix_first_start))
-        return len(self.resolved_label_pairs()) * starts * len(self.delays)
+        return len(self.sweep_spec().shard_cube(graph))
 
     def iter_configs(self, graph: PortLabeledGraph) -> Iterator[Configuration]:
         """All configurations in the global (shard-index) order."""
-        return configurations(
+        return iter(self.sweep_spec().shard_cube(graph))
+
+    def shard_cube(self, graph: PortLabeledGraph) -> ConfigCube:
+        """The shard as a window of the sweep's :class:`ConfigCube`.
+
+        The configuration space is a pure product (label pairs x start
+        pairs x delays) and a shard a contiguous slice ``[lo, hi)`` of its
+        global order, so the shard *is* the cube's window: it keeps the
+        axes, a shard starting anywhere costs nothing to locate, and the
+        cube engine answers it in tensor passes without materializing a
+        configuration.  The cube shares
+        :func:`~repro.sim.adversary.default_start_pairs` with
+        :func:`repro.sim.adversary.configurations`, so the two orderings
+        cannot drift.
+        """
+        cube = ConfigCube.make(
             graph,
             self.resolved_label_pairs(),
             delays=self.delays,
             fix_first_start=self.fix_first_start,
         )
+        return cube if self.shard is None else cube.window(*self.shard)
 
     def iter_shard(
         self, graph: PortLabeledGraph
     ) -> Iterator[tuple[int, Configuration]]:
-        """The shard's ``(global_index, configuration)`` pairs.
-
-        The configuration space is a pure product (label pairs x start
-        pairs x delays), so an index maps to its configuration by
-        ``divmod`` -- a shard costs ``O(hi - lo)`` regardless of where in
-        the global order it starts, instead of enumerating and discarding
-        every preceding configuration.  The decomposition mirrors the
-        nesting order of :func:`repro.sim.adversary.configurations`
-        (labels outermost, delays innermost), sharing its
-        :func:`~repro.sim.adversary.default_start_pairs` enumeration so
-        the two orderings cannot drift.
-        """
-        label_pairs = self.resolved_label_pairs()
-        start_pairs = default_start_pairs(graph, self.fix_first_start)
-        delays = self.delays
-        per_label = len(start_pairs) * len(delays)
-        total = len(label_pairs) * per_label
-        lo, hi = self.shard if self.shard is not None else (0, total)
-        for index in range(lo, min(hi, total)):
-            label_index, rest = divmod(index, per_label)
-            start_index, delay_index = divmod(rest, len(delays))
-            yield index, Configuration(
-                labels=label_pairs[label_index],
-                starts=start_pairs[start_index],
-                delay=delays[delay_index],
-            )
+        """The shard's ``(global_index, configuration)`` pairs, lazily."""
+        cube = self.shard_cube(graph)
+        yield from enumerate(cube, cube.lo)
 
     # ------------------------------------------------------------------
     # Serialization and content addressing

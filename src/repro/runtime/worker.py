@@ -6,16 +6,19 @@ Graphs and algorithms are rebuilt from the spec on first use and memoised
 per process (pool workers are long-lived, so a worker pays the
 construction cost once per distinct job, not once per shard).
 
-The spec's ``engine`` picks the substrate, and the shard runs through
-that substrate's own reducer -- the one
-:func:`repro.sim.adversary.worst_case_search` uses: the round simulator
-or the compiled trajectory table under
-:func:`~repro.sim.adversary.scan_reduce`, or the NumPy cube table under
-:func:`repro.sim.cube.cube_reduce` (bounded vectorized chunks of the
-shard's lazy configuration stream).  The compiled and cube tables are
-memoised per process, so shards of one sweep share compilations.  The
-reducer's stream positions become global indices by adding the shard's
-lower bound, so the shard report is identical whatever the substrate.
+A shard is a window of its sweep's :class:`~repro.sim.adversary.ConfigCube`
+(:meth:`repro.runtime.spec.JobSpec.shard_cube`).  The spec's ``engine``
+picks the substrate, and the window runs through that substrate's own
+reducer -- the one :func:`repro.sim.adversary.worst_case_search` uses:
+the round simulator or the compiled trajectory table under
+:func:`~repro.sim.adversary.scan_reduce`, which iterates the window
+lazily, or the NumPy cube table under :func:`repro.sim.cube.cube_reduce`,
+which answers the window in whole-cube tensor passes and decodes
+configurations only for extremes and failures.  The compiled and cube
+tables are memoised per process, so shards of one sweep share
+compilations and the cube's per-slice delta rows.  The reducer's
+positions become global indices by adding the shard's lower bound, so
+the shard report is identical whatever the substrate.
 """
 
 from __future__ import annotations
@@ -93,7 +96,8 @@ def run_shard(spec: JobSpec) -> ShardReport:
     started = time.perf_counter()  # repro: allow(REP001): ShardTiming provenance
     graph, algorithm = _materialize(spec.graph, spec.algorithm)
     presence = PRESENCE_MODELS.get(spec.presence)  # SpecError if unknown
-    lo, hi = spec.shard if spec.shard is not None else (0, spec.config_space_size(graph))
+    cube = spec.shard_cube(graph)
+    lo, hi = spec.shard if spec.shard is not None else (0, len(cube))
     if spec.engine == "cube":
         from repro.sim.cube import cube_reduce
 
@@ -117,10 +121,7 @@ def run_shard(spec: JobSpec) -> ShardReport:
         return default_horizon(algorithm, config)
 
     reduction = reduce(
-        table,
-        (config for _, config in spec.iter_shard(graph)),
-        spec.horizon if spec.horizon is not None else horizon,
-        presence,
+        table, cube, spec.horizon if spec.horizon is not None else horizon, presence
     )
     return ShardReport(
         shard=(lo, hi),

@@ -7,19 +7,22 @@ and reports the configurations maximising time and cost, so measured
 numbers can be compared against the claimed bounds and each extreme can be
 replayed.
 
-Each execution substrate has one reducer from a configuration stream to
-the shared :class:`Reduction`: :func:`scan_reduce` for the reactive
-simulator and the compiled trajectory table,
-:func:`repro.sim.cube.cube_reduce` for the NumPy cube table.
-:func:`worst_case_search` and the runtime's shards
-(:func:`repro.runtime.worker.run_shard`) both call them.
+The space is a pure product, kept as axes by :class:`ConfigCube`, which
+owns the index law from a global index to its configuration; a runtime
+shard is a window ``[lo, hi)`` of its sweep's cube.  Each execution
+substrate has one reducer from a configuration iterable to the shared
+:class:`Reduction`: :func:`scan_reduce` for the reactive simulator and
+the compiled trajectory table (it iterates a cube lazily),
+:func:`repro.sim.cube.cube_reduce` for the NumPy cube table (it answers
+a cube in tensor passes).  :func:`worst_case_search` and the runtime's
+shards (:func:`repro.runtime.worker.run_shard`) both call them.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Iterable, Iterator
 
 from repro.graphs.port_graph import PortLabeledGraph
@@ -103,11 +106,11 @@ def default_start_pairs(
     """The canonical ordered start-pair enumeration of a sweep.
 
     This single definition fixes the global configuration ordering that
-    :func:`configurations`, the runtime's shard indexing
-    (:meth:`repro.runtime.spec.JobSpec.iter_shard`) and the space-size
-    law (:meth:`~repro.runtime.spec.JobSpec.config_space_size`) all
-    share -- cached shard indices and merge tie-breaking silently corrupt
-    if any of them drifts, so none of them re-implements it.
+    :func:`configurations` and :class:`ConfigCube` -- hence the runtime's
+    shard windows (:meth:`repro.runtime.spec.JobSpec.shard_cube`) and
+    the space-size law (:meth:`~repro.runtime.spec.JobSpec.config_space_size`)
+    -- all share: cached shard indices and merge tie-breaking silently
+    corrupt if any of them drifts, so none of them re-implements it.
     """
     nodes = range(graph.num_nodes)
     first_nodes = [0] if fix_first_start else list(nodes)
@@ -152,12 +155,30 @@ class ConfigCube:
     :class:`ConfigCube` and answers the whole ``L(L-1) x n(n-1) x D``
     space by tensor passes over the axes -- no per-configuration Python
     objects are ever created on that path.
+
+    A cube may be a *window*: the configurations at global indices
+    ``[lo, hi)`` of the product (:meth:`window`).  Iteration and ``len``
+    honour the window, and :meth:`coordinates` is the one index law
+    mapping a global index to its axis positions -- the runtime's shards
+    are windows of their sweep's cube.
     """
 
     graph: PortLabeledGraph
     label_pairs: tuple[tuple[int, int], ...]
     start_pairs: tuple[tuple[int, int], ...]
     delays: tuple[int, ...]
+    lo: int = 0
+    hi: int | None = None  # None: the end of the product
+
+    def __post_init__(self) -> None:
+        size = len(self.label_pairs) * len(self.start_pairs) * len(self.delays)
+        hi = size if self.hi is None else self.hi
+        if not 0 <= self.lo <= hi <= size:
+            raise ValueError(
+                f"window [{self.lo}, {hi}) is not within the cube's "
+                f"{size} configurations"
+            )
+        object.__setattr__(self, "hi", hi)
 
     @classmethod
     def make(
@@ -178,14 +199,50 @@ class ConfigCube:
             delays=tuple(delays),
         )
 
+    def window(self, lo: int, hi: int) -> "ConfigCube":
+        """Positions ``[lo, hi)`` of this cube, clamped like a slice.
+
+        ``list(cube.window(lo, hi)) == list(cube)[lo:hi]`` for any
+        non-negative bounds; the result is again a cube over the same
+        axes, with its window in global indices.
+        """
+        if lo < 0 or hi < 0:
+            raise ValueError(f"window bounds must be >= 0, got [{lo}, {hi})")
+        start = min(self.lo + lo, self.hi)
+        return replace(self, lo=start, hi=max(start, min(self.lo + hi, self.hi)))
+
+    def coordinates(self, index: int) -> tuple[int, int, int]:
+        """``(pair, start, delay)`` axis positions of global ``index``."""
+        pair, rest = divmod(index, len(self.start_pairs) * len(self.delays))
+        start, delay = divmod(rest, len(self.delays))
+        return pair, start, delay
+
+    def config_at(self, index: int) -> Configuration:
+        """The configuration at global ``index``."""
+        pair, start, delay = self.coordinates(index)
+        return Configuration(
+            labels=self.label_pairs[pair],
+            starts=self.start_pairs[start],
+            delay=self.delays[delay],
+        )
+
     def __iter__(self) -> Iterator[Configuration]:
-        for labels in self.label_pairs:
-            for starts in self.start_pairs:
-                for delay in self.delays:
-                    yield Configuration(labels=labels, starts=starts, delay=delay)
+        remaining = len(self)
+        if not remaining:
+            return
+        pair, start, delay = self.coordinates(self.lo)
+        for labels in self.label_pairs[pair:]:
+            for starts in self.start_pairs[start:]:
+                for delay_value in self.delays[delay:]:
+                    yield Configuration(labels=labels, starts=starts, delay=delay_value)
+                    remaining -= 1
+                    if not remaining:
+                        return
+                delay = 0
+            start = 0
 
     def __len__(self) -> int:
-        return len(self.label_pairs) * len(self.start_pairs) * len(self.delays)
+        return self.hi - self.lo
 
 
 def default_horizon(algorithm: Any, config: Configuration) -> int:

@@ -442,32 +442,47 @@ class BatchTimelineTable:
         for (labels, _), delay_horizons in dense.items():
             self._ensure_matrices(labels, delay_horizons, presence)
         for (labels, delay, horizon), members in groups.items():
-            rows = np.array(members, dtype=np.intp)
             starts = np.array([configs[i].starts for i in members], dtype=np.intp)
-            s1, s2 = starts[:, 0], starts[:, 1]
-            if (
-                len(members) * _DENSE_FRACTION >= pair_count
-                or (labels, delay, horizon, presence) in self._matrices
-            ):
-                met_matrix, cost_matrix = self.group_matrices(
-                    labels, delay, horizon, presence
-                )
-                met, cost = met_matrix[s1, s2], cost_matrix[s1, s2]
-            else:
-                first = self.timelines(labels[0])
-                second = self.timelines(labels[1])
-                earliest = delay if presence is PresenceModel.PARACHUTE else 0
-                met = _first_meetings(
-                    np, first, second, s1, s2, delay, horizon, earliest
-                )
-                last = np.where(met >= 0, met, horizon)
-                cost = (
-                    first.costs[s1, np.minimum(last, first.length)]
-                    + second.costs[s2, np.clip(last - delay, 0, second.length)]
-                )
-            met_all[rows] = met
-            cost_all[rows] = cost
+            rows = np.array(members, dtype=np.intp)
+            met_all[rows], cost_all[rows] = self.group_rows(
+                labels, delay, horizon, presence, starts[:, 0], starts[:, 1]
+            )
         return met_all, cost_all
+
+    def group_rows(
+        self,
+        labels: tuple[int, int],
+        delay: int,
+        horizon: int,
+        presence: PresenceModel,
+        s1: Any,
+        s2: Any,
+    ) -> tuple[Any, Any]:
+        """``(met, cost)`` of one group at the row-aligned start pairs.
+
+        Dense requests (at least ``1/_DENSE_FRACTION`` of the ``n**2``
+        start pairs) and groups already cached read the all-pairs
+        matrices; sparse ones scan just their own rows.
+        """
+        if (
+            len(s1) * _DENSE_FRACTION >= self.graph.num_nodes**2
+            or (labels, delay, horizon, presence) in self._matrices
+        ):
+            met_matrix, cost_matrix = self.group_matrices(
+                labels, delay, horizon, presence
+            )
+            return met_matrix[s1, s2], cost_matrix[s1, s2]
+        np = self._np
+        first = self.timelines(labels[0])
+        second = self.timelines(labels[1])
+        earliest = delay if presence is PresenceModel.PARACHUTE else 0
+        met = _first_meetings(np, first, second, s1, s2, delay, horizon, earliest)
+        last = np.where(met >= 0, met, horizon)
+        cost = (
+            first.costs[s1, np.minimum(last, first.length)]
+            + second.costs[s2, np.clip(last - delay, 0, second.length)]
+        )
+        return met, cost
 
     def result(
         self,

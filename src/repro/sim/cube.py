@@ -31,11 +31,14 @@ With pruning off (``prune=False`` or ``REPRO_PRUNE=0``) every pass is
 the substrate's plain unpruned one.
 
 :func:`cube_reduce` is the substrate's one reducer: a :class:`ConfigCube`
-takes the whole-cube path, any other stream is folded chunk by chunk
-from :func:`repro.sim.batch.evaluate_stream`.  Both
-``worst_case_search(engine="cube")`` and the runtime's shards call it on
-a built table and receive the shared
-:class:`~repro.sim.adversary.Reduction`.
+-- a whole sweep, or a runtime shard's window of one -- takes the
+whole-cube path, any other iterable (a sampled population, a flat list)
+is folded chunk by chunk from :func:`repro.sim.batch.evaluate_stream`.
+Both ``worst_case_search(engine="cube")`` and the runtime's shards call
+it on a built table and receive the shared
+:class:`~repro.sim.adversary.Reduction`.  The table memoises per-slice
+delta rows, so shards of one process that split a label pair scan it
+once.
 
 NumPy availability is checked at call time through
 :mod:`repro.sim.batch`, so ``engine="cube"`` degrades with the same loud
@@ -49,7 +52,6 @@ from __future__ import annotations
 # for telemetry gauges, exactly as in repro.sim.batch; results flow only
 # through Telemetry, never into report bytes.
 
-import functools
 import time
 from typing import Any, Callable, Iterable, Sequence
 
@@ -64,6 +66,7 @@ from repro.sim.adversary import (
 )
 from repro.sim.batch import (
     _BLOCK_ELEMENTS,
+    _DENSE_FRACTION,
     _MIN_TIME_BLOCK,
     BatchTimelineTable,
     LabelTimelines,
@@ -81,73 +84,64 @@ from repro.sim.prune import (
 from repro.sim.simulator import PresenceModel
 
 
-def _delta_tables(
+def _first_colocations(
     np: Any,
-    first: LabelTimelines,
-    second: LabelTimelines,
-    delay_horizons: Sequence[tuple[int, int]],
+    pos0: Any,
+    i1: Any,
+    i2: Any,
+    delays: Any,
+    limit: Any,
     parachute: bool,
     n: int,
     stats: PruneStats,
-) -> tuple[Any, Any]:
-    """Per-delta first colocations and costs for every delay slice.
+) -> Any:
+    """Per-delta first colocations of every scan group, as a ``(G, n)`` array.
 
-    The orbit-reduced counterpart of the substrate's
-    ``_meeting_tensor``/``_cost_tensor`` pair: with rotation-derived
-    timelines, starts ``(s1, s2)`` colocate at ``t`` iff
-    ``pos1(t) - pos2(t') == s2 - s1 (mod n)`` of the *start-0* rows, so
-    one ``(D, n)`` table over ``delta`` answers all ``n**2`` start pairs
-    of each slice.  Row semantics (windows, delay clipping, parachute
-    blanking, ``-1`` for never) match the full tensors exactly; the
-    column-block scan stops early once every delta has met
-    (``stats.early_exit_rounds`` counts the skipped time points).
+    Group ``g`` pairs label rows ``i1[g]``/``i2[g]`` of the parked-tail
+    padded start-0 position tensor ``pos0`` at delay ``delays[g]``.  With
+    rotation-derived timelines, starts ``(s1, s2)`` colocate at ``t`` iff
+    ``pos1(t) - pos2(t') == s2 - s1 (mod n)`` of the start-0 rows, so one
+    row over ``delta`` answers all ``n**2`` start pairs of a slice.  Time
+    points past the group's ``limit`` (or, parachute only, before its
+    wake) match no delta; ``-1`` means never.  Groups are scanned in
+    batches and time in column blocks, so the ``(g, b, n)`` comparison
+    stays within ``_BLOCK_ELEMENTS``; a batch stops early once every
+    delta has met (``stats.early_exit_rounds`` counts the skipped time
+    points).
     """
-    count = len(delay_horizons)
-    delays = np.array([delay for delay, _ in delay_horizons], dtype=np.intp)
-    horizons = np.array([horizon for _, horizon in delay_horizons], dtype=np.int64)
+    count = len(i1)
     met = np.full((count, n), -1, dtype=np.int64)
-    length1, length2 = first.length, second.length
-    limit = np.minimum(horizons, np.maximum(length1, delays + length2))
-    max_scan = int(limit.max())
-    start_t = int(delays.min()) if parachute else 0
-    p1 = first.positions[0].astype(np.int64)
-    p2 = second.positions[0].astype(np.int64)
+    tmax = pos0.shape[1] - 1
     deltas = np.arange(n, dtype=np.int64)
-    block = max(_MIN_TIME_BLOCK, _BLOCK_ELEMENTS // max(count * n, 1))
-    t0 = start_t
-    while t0 <= max_scan:
-        t1 = min(t0 + block - 1, max_scan)
-        times = np.arange(t0, t1 + 1, dtype=np.intp)
-        a = p1[np.minimum(times, length1)]  # (b,)
-        cols2 = np.clip(times[None, :] - delays[:, None], 0, length2)  # (D, b)
-        diffs = (a[None, :] - p2[cols2]) % n  # (D, b)
-        # Out-of-window time points match no delta: past the slice's own
-        # limit, or (parachute only) before its wake.  The sentinel ``n``
-        # folds the window mask into the equality test.
-        invalid = times[None, :] > limit[:, None]
-        if parachute:
-            invalid |= times[None, :] < delays[:, None]
-        diffs = np.where(invalid, n, diffs)
-        hits = diffs[:, :, None] == deltas[None, None, :]  # (D, b, n)
-        fresh = hits.any(axis=1) & (met < 0)
-        if fresh.any():
-            met = np.where(fresh, t0 + hits.argmax(axis=1), met)
-            if (met >= 0).all():
-                stats.early_exit_rounds += max_scan - t1
-                break
-        t0 = t1 + 1
-    # Start-oblivious costs are start-independent, so the start-0 rows
-    # price every orbit member: through the meeting round, or through the
-    # slice's horizon where the delta never meets.
-    last = np.where(met >= 0, met, horizons[:, None])
-    cost = (
-        first.costs[0][np.minimum(last, length1)]
-        + second.costs[0][np.clip(last - delays[:, None], 0, length2)]
-    )
-    # Each scanned slice scans n - 1 nonzero deltas (one start pair each)
-    # and rotation answers the other (n - 1)**2 of its n(n - 1) cells.
-    stats.orbit_cells += count * (n - 1) ** 2
-    return met, cost
+    batch = max(1, _BLOCK_ELEMENTS // (n * _MIN_TIME_BLOCK))
+    for g0 in range(0, count, batch):
+        rows = slice(g0, g0 + batch)
+        first, second, shift, end = i1[rows], i2[rows], delays[rows], limit[rows]
+        found = met[rows]
+        max_scan = int(end.max())
+        block = max(_MIN_TIME_BLOCK, _BLOCK_ELEMENTS // (len(first) * n))
+        t0 = int(shift.min()) if parachute else 0
+        while t0 <= max_scan:
+            t1 = min(t0 + block - 1, max_scan)
+            times = np.arange(t0, t1 + 1, dtype=np.intp)
+            a = pos0[first[:, None], np.minimum(times, tmax)[None, :]]
+            cols2 = np.clip(times[None, :] - shift[:, None], 0, tmax)
+            diffs = (a - pos0[second[:, None], cols2]) % n  # (g, b)
+            # Out-of-window time points match no delta; the sentinel ``n``
+            # folds the window mask into the equality test.
+            invalid = times[None, :] > end[:, None]
+            if parachute:
+                invalid |= times[None, :] < shift[:, None]
+            diffs = np.where(invalid, n, diffs)
+            hits = diffs[:, :, None] == deltas[None, None, :]  # (g, b, n)
+            fresh = hits.any(axis=1) & (found < 0)
+            if fresh.any():
+                found[...] = np.where(fresh, t0 + hits.argmax(axis=1), found)
+                if (found >= 0).all():
+                    stats.early_exit_rounds += max_scan - t1
+                    break
+            t0 = t1 + 1
+    return met
 
 
 class CubeTimelineTable(BatchTimelineTable):
@@ -245,201 +239,136 @@ class CubeTimelineTable(BatchTimelineTable):
         self.build_seconds += time.perf_counter() - started
         return stacked
 
-    def delta_tables(
-        self,
-        labels: tuple[int, int],
-        delay_horizons: Sequence[tuple[int, int]],
-        presence: PresenceModel,
-    ) -> tuple[Any, Any] | None:
-        """``(met, cost)`` stacked ``(D, n)`` delta tables for the slices.
-
-        Returns ``None`` when the orbit certificate does not hold (or is
-        voided by the trajectory probe while building the timelines) --
-        the caller falls back to full matrices.  Missing slices are
-        computed in one pass: dominance-planned pivots scanned, the rest
-        derived by exact translation.
-        """
-        if not self.certificate.orbit:
-            return None
-        np = self._np
-        missing = [
-            (delay, horizon)
-            for delay, horizon in delay_horizons
-            if (labels, delay, horizon, presence) not in self._delta_rows
-        ]
-        if missing:
-            first = self.timelines(labels[0])
-            second = self.timelines(labels[1])
-            if not self.certificate.orbit:  # probe mismatch mid-build
-                return None
-            parachute = presence is PresenceModel.PARACHUTE
-            plan = dominance_plan(missing, first.length)
-            scanned = [missing[index] for index in plan.scan]
-            met_rows, cost_rows = _delta_tables(
-                np,
-                first,
-                second,
-                scanned,
-                parachute,
-                self.graph.num_nodes,
-                self.stats,
-            )
-            rows: dict[int, tuple[Any, Any]] = {}
-            for slot, index in enumerate(plan.scan):
-                rows[index] = (met_rows[slot], cost_rows[slot])
-            for index, (pivot, shift) in plan.derived.items():
-                met_pivot, cost_pivot = rows[pivot]
-                rows[index] = (
-                    derive_met(
-                        np, met_pivot, missing[pivot][0], shift, parachute
-                    ),
-                    cost_pivot,  # dominance holds costs fixed (see prune.py)
-                )
-                self.stats.dominated_slices += 1
-            for index, (delay, horizon) in enumerate(missing):
-                self._delta_rows[(labels, delay, horizon, presence)] = rows[
-                    index
-                ]
-        met = np.stack(
-            [
-                self._delta_rows[(labels, delay, horizon, presence)][0]
-                for delay, horizon in delay_horizons
-            ]
-        )
-        cost = np.stack(
-            [
-                self._delta_rows[(labels, delay, horizon, presence)][1]
-                for delay, horizon in delay_horizons
-            ]
-        )
-        return met, cost
-
     def cube_delta_tables(
         self,
         label_pairs: Sequence[tuple[int, int]],
         delay_horizons: Sequence[Sequence[tuple[int, int]]],
         presence: PresenceModel,
     ) -> tuple[Any, Any] | None:
-        """``(met, cost)`` as ``(P, D, n)`` tensors -- the whole cube at once.
+        """``(met, cost)`` as ``(P, D, n)`` tensors over ``delta``.
 
-        The cross-label pass: every label's start-0 timeline is stacked
-        (parked-tail padded) into one ``(L, Tmax+1)`` tensor, and all
-        ``P x D`` dominance-pivot groups are scanned in a single
-        column-blocked sweep -- no Python loop over label pairs touches
-        the time axis.  ``delay_horizons[p]`` lists pair ``p``'s
-        ``(delay, horizon)`` slices (one per delay-axis entry, so ``D``
-        is uniform).  Returns ``None`` when the orbit certificate does
-        not hold (or the trajectory probe voids it mid-build).
+        ``delay_horizons[p]`` lists pair ``p``'s ``(delay, horizon)``
+        slices (one per delay-axis entry, so ``D`` is uniform).  Rows are
+        memoised per ``(labels, delay, horizon, presence)``, so shards
+        that split a label pair scan it once per table; the slices no
+        earlier call answered are scanned together in one cross-label
+        pass (:meth:`_scan_delta_rows`).  Returns ``None`` when the orbit
+        certificate does not hold (or the trajectory probe voids it
+        mid-build).
         """
         if not self.certificate.orbit:
             return None
+        missing = []
+        for labels, slices in zip(label_pairs, delay_horizons):
+            todo = [
+                (delay, horizon)
+                for delay, horizon in slices
+                if (labels, delay, horizon, presence) not in self._delta_rows
+            ]
+            if todo:
+                missing.append((labels, todo))
+        if missing and not self._scan_delta_rows(missing, presence):
+            return None
+        np = self._np
+        rows = [
+            [
+                self._delta_rows[(labels, delay, horizon, presence)]
+                for delay, horizon in slices
+            ]
+            for labels, slices in zip(label_pairs, delay_horizons)
+        ]
+        shape = (len(rows), len(rows[0]) if rows else 0, self.graph.num_nodes)
+        met = np.array([[m for m, _ in pair] for pair in rows], dtype=np.int64)
+        cost = np.array([[c for _, c in pair] for pair in rows], dtype=np.int64)
+        return met.reshape(shape), cost.reshape(shape)
+
+    def _scan_delta_rows(
+        self,
+        missing: Sequence[tuple[tuple[int, int], Sequence[tuple[int, int]]]],
+        presence: PresenceModel,
+    ) -> bool:
+        """Scan and memoise the delta rows of ``(labels, slices)`` entries.
+
+        The cross-label pass: every label's start-0 timeline is stacked
+        (parked-tail padded) into one ``(L, Tmax+1)`` tensor, and the
+        dominance pivots of all pairs are scanned by one
+        :func:`_first_colocations` call -- no Python loop over label pairs
+        touches the time axis; dominated slices derive from their pivot
+        rows by exact translation.  ``False`` when the trajectory probe
+        voids the orbit certificate while the timelines are built.
+        """
         np = self._np
         n = self.graph.num_nodes
-        pair_count = len(label_pairs)
-        delay_count = len(delay_horizons[0]) if delay_horizons else 0
-        labels_needed = sorted({label for pair in label_pairs for label in pair})
+        labels_needed = sorted({label for labels, _ in missing for label in labels})
         stacked = {label: self.timelines(label) for label in labels_needed}
         if not self.certificate.orbit:  # probe mismatch mid-build
-            return None
+            return False
         parachute = presence is PresenceModel.PARACHUTE
         index_of = {label: slot for slot, label in enumerate(labels_needed)}
-        lengths = [stacked[label].length for label in labels_needed]
-        tmax = max(lengths) if lengths else 0
+        tmax = max(stacked[label].length for label in labels_needed)
         # Parked-tail padding makes the rows rectangular across labels:
         # past its own schedule a timeline repeats its final position and
         # cost, so clamped reads below need only the shared tmax.
-        pos0 = np.empty((len(labels_needed), tmax + 1), dtype=np.int64)
-        cost0 = np.empty((len(labels_needed), tmax + 1), dtype=np.int64)
+        # Positions stay narrow (with room for the scan's sentinel ``n``);
+        # costs widen only where two of them are summed.
+        position_dtype = np.int16 if n < 2**15 else np.int64
+        pos0 = np.empty((len(labels_needed), tmax + 1), dtype=position_dtype)
+        cost0 = np.empty((len(labels_needed), tmax + 1), dtype=np.int32)
         for slot, label in enumerate(labels_needed):
-            rows = stacked[label]
-            pos0[slot, : rows.length + 1] = rows.positions[0]
-            pos0[slot, rows.length + 1 :] = int(rows.positions[0][-1])
-            cost0[slot, : rows.length + 1] = rows.costs[0]
-            cost0[slot, rows.length + 1 :] = int(rows.costs[0][-1])
+            timeline = stacked[label]
+            end = timeline.length + 1
+            pos0[slot, :end] = timeline.positions[0]
+            pos0[slot, end:] = int(timeline.positions[0][-1])
+            cost0[slot, :end] = timeline.costs[0]
+            cost0[slot, end:] = int(timeline.costs[0][-1])
         # One scan group per dominance pivot; dominated slices derive.
         plans = [
-            dominance_plan(
-                delay_horizons[p], stacked[label_pairs[p][0]].length
-            )
-            for p in range(pair_count)
+            dominance_plan(slices, stacked[labels[0]].length)
+            for labels, slices in missing
         ]
-        group_i1: list[int] = []
-        group_i2: list[int] = []
-        group_delay: list[int] = []
-        group_horizon: list[int] = []
-        group_t1: list[int] = []
-        group_t2: list[int] = []
-        for p, labels in enumerate(label_pairs):
-            for index in plans[p].scan:
-                delay, horizon = delay_horizons[p][index]
-                group_i1.append(index_of[labels[0]])
-                group_i2.append(index_of[labels[1]])
-                group_delay.append(delay)
-                group_horizon.append(horizon)
-                group_t1.append(stacked[labels[0]].length)
-                group_t2.append(stacked[labels[1]].length)
-        group_count = len(group_i1)
-        i1 = np.array(group_i1, dtype=np.intp)
-        i2 = np.array(group_i2, dtype=np.intp)
-        delays = np.array(group_delay, dtype=np.int64)
-        horizons = np.array(group_horizon, dtype=np.int64)
-        t1s = np.array(group_t1, dtype=np.int64)
-        t2s = np.array(group_t2, dtype=np.int64)
-        limit = np.minimum(horizons, np.maximum(t1s, delays + t2s))
-        met = np.full((group_count, n), -1, dtype=np.int64)
-        deltas = np.arange(n, dtype=np.int64)
-        if group_count:
-            max_scan = int(limit.max())
-            t0 = int(delays.min()) if parachute else 0
-            block = max(
-                _MIN_TIME_BLOCK, _BLOCK_ELEMENTS // max(group_count * n, 1)
-            )
-            while t0 <= max_scan:
-                t1 = min(t0 + block - 1, max_scan)
-                times = np.arange(t0, t1 + 1, dtype=np.intp)
-                a = pos0[i1[:, None], np.minimum(times, tmax)[None, :]]
-                cols2 = np.clip(times[None, :] - delays[:, None], 0, tmax)
-                diffs = (a - pos0[i2[:, None], cols2]) % n  # (G, b)
-                invalid = times[None, :] > limit[:, None]
-                if parachute:
-                    invalid |= times[None, :] < delays[:, None]
-                diffs = np.where(invalid, n, diffs)
-                hits = diffs[:, :, None] == deltas[None, None, :]  # (G, b, n)
-                fresh = hits.any(axis=1) & (met < 0)
-                if fresh.any():
-                    met = np.where(fresh, t0 + hits.argmax(axis=1), met)
-                    if (met >= 0).all():
-                        self.stats.early_exit_rounds += max_scan - t1
-                        break
-                t0 = t1 + 1
-        last = np.where(met >= 0, met, horizons[:, None])
-        cost = (
-            cost0[i1[:, None], np.minimum(last, tmax)]
-            + cost0[i2[:, None], np.clip(last - delays[:, None], 0, tmax)]
+        groups = [
+            (labels, *slices[index])
+            for (labels, slices), plan in zip(missing, plans)
+            for index in plan.scan
+        ]
+        i1 = np.array([index_of[labels[0]] for labels, _, _ in groups], dtype=np.intp)
+        i2 = np.array([index_of[labels[1]] for labels, _, _ in groups], dtype=np.intp)
+        delays = np.array([delay for _, delay, _ in groups], dtype=np.int64)
+        horizons = np.array([horizon for _, _, horizon in groups], dtype=np.int64)
+        lengths = np.array(
+            [stacked[label].length for label in labels_needed], dtype=np.int64
         )
-        # Scatter pivots into the (P, D, n) cube, then fill dominated
-        # slices by exact translation from their pivot rows.
-        met_full = np.empty((pair_count, delay_count, n), dtype=np.int64)
-        cost_full = np.empty((pair_count, delay_count, n), dtype=np.int64)
+        limit = np.minimum(horizons, np.maximum(lengths[i1], delays + lengths[i2]))
+        met = _first_colocations(
+            np, pos0, i1, i2, delays, limit, parachute, n, self.stats
+        )
+        # Start-oblivious costs are start-independent, so the start-0 rows
+        # price every orbit member: through the meeting round, or through
+        # the slice's horizon where the delta never meets.
+        last = np.where(met >= 0, met, horizons[:, None])
+        cost = cost0[i1[:, None], np.minimum(last, tmax)].astype(np.int64) + cost0[
+            i2[:, None], np.clip(last - delays[:, None], 0, tmax)
+        ]
         group = 0
-        for p in range(pair_count):
-            plan = plans[p]
+        for (labels, slices), plan in zip(missing, plans):
+            rows: dict[int, tuple[Any, Any]] = {}
             for index in plan.scan:
-                met_full[p, index] = met[group]
-                cost_full[p, index] = cost[group]
+                rows[index] = (met[group], cost[group])
                 group += 1
             for index, (pivot, shift) in plan.derived.items():
-                met_full[p, index] = derive_met(
-                    np,
-                    met_full[p, pivot],
-                    delay_horizons[p][pivot][0],
-                    shift,
-                    parachute,
+                met_pivot, cost_pivot = rows[pivot]
+                rows[index] = (
+                    derive_met(np, met_pivot, slices[pivot][0], shift, parachute),
+                    cost_pivot,  # dominance holds costs fixed (see prune.py)
                 )
-                cost_full[p, index] = cost_full[p, pivot]
                 self.stats.dominated_slices += 1
-        self.stats.orbit_cells += group_count * (n - 1) ** 2  # as _delta_tables
-        return met_full, cost_full
+            for index, (delay, horizon) in enumerate(slices):
+                self._delta_rows[(labels, delay, horizon, presence)] = rows[index]
+        # Each scanned slice scans n - 1 nonzero deltas (one start pair
+        # each) and rotation answers the other (n - 1)**2 of its n(n - 1)
+        # cells.
+        self.stats.orbit_cells += len(groups) * (n - 1) ** 2
+        return True
 
     def _ensure_matrices(
         self,
@@ -465,9 +394,9 @@ class CubeTimelineTable(BatchTimelineTable):
         if not missing:
             return
         np = self._np
-        tables = self.delta_tables(labels, missing, presence)
+        tables = self.cube_delta_tables([labels], [missing], presence)
         if tables is not None:
-            met_rows, cost_rows = tables
+            met_rows, cost_rows = tables[0][0], tables[1][0]
             n = self.graph.num_nodes
             # delta of the ordered pair (s1, s2) -- row s1, column s2.
             spread = (np.arange(n)[None, :] - np.arange(n)[:, None]) % n
@@ -507,27 +436,24 @@ class CubeTimelineTable(BatchTimelineTable):
     ) -> tuple[Any, Any]:
         """``(met, cost)`` as ``(S, D)`` arrays for one label pair.
 
-        Rows follow the given start-pair order, columns the given delay
-        order -- the flattened result is the global enumeration order
-        within the pair, which is what makes one ``argmax`` reproduce the
-        serial first-wins tie-break.
+        The whole-cube path off the orbit: rows follow the given start
+        pairs, columns the given delays -- the flattened result is the
+        global enumeration order within the pair, which is what makes one
+        ``argmax`` reproduce the serial first-wins tie-break.  Dense row
+        sets read one tensor pass's all-pairs matrices; sparse ones scan
+        just their rows (:meth:`group_rows`).
         """
         np = self._np
-        tables = self.delta_tables(labels, delay_horizons, presence)
-        if tables is not None:
-            met_rows, cost_rows = tables
-            delta = (s2 - s1) % self.graph.num_nodes
-            return met_rows[:, delta].T, cost_rows[:, delta].T
-        self._ensure_matrices(labels, delay_horizons, presence)
-        met_slices = []
-        cost_slices = []
-        for delay, horizon in delay_horizons:
-            met_matrix, cost_matrix = self.group_matrices(
-                labels, delay, horizon, presence
-            )
-            met_slices.append(met_matrix[s1, s2])
-            cost_slices.append(cost_matrix[s1, s2])
-        return np.stack(met_slices, axis=1), np.stack(cost_slices, axis=1)
+        if len(s1) * _DENSE_FRACTION >= self.graph.num_nodes**2:
+            self._ensure_matrices(labels, delay_horizons, presence)
+        columns = [
+            self.group_rows(labels, delay, horizon, presence, s1, s2)
+            for delay, horizon in delay_horizons
+        ]
+        return (
+            np.stack([met for met, _ in columns], axis=1),
+            np.stack([cost for _, cost in columns], axis=1),
+        )
 
 
 def _pair_horizons(
@@ -589,16 +515,16 @@ class _Extremes:
     def fold(self, met: Any, cost: Any, offset: int, decode: Callable) -> None:
         """Fold one block of flat arrays starting at stream ``offset``.
 
-        ``decode(i)`` is the ``(configuration, horizon)`` at block
-        position ``i``; only failures and winners are ever decoded.
+        ``decode(position)`` is the ``(configuration, horizon)`` at a
+        stream position; only failures and winners are ever decoded.
         """
         missed = self.np.nonzero(met < 0)[0].tolist()
-        self.failures.extend((offset + i, decode(i)[0]) for i in missed)
+        self.failures.extend((offset + i, decode(offset + i)[0]) for i in missed)
         if len(missed) == met.size:
             return
 
         def extreme(i: int) -> Extreme:
-            config, horizon = decode(i)
+            config, horizon = decode(offset + i)
             return Extreme(offset + i, config, int(met[i]), int(cost[i]), horizon)
 
         i = int(met.argmax())
@@ -621,65 +547,63 @@ def _whole_cube_search(
     max_rounds: int | Callable[[Configuration], int],
     presence: PresenceModel,
 ) -> Reduction:
-    """Answer a full :class:`ConfigCube` without materializing configs.
+    """Answer a :class:`ConfigCube` window without materializing configs.
 
-    No :class:`Configuration` objects exist on this path until an argmax
-    winner or a failure is decoded.  On a certified-cyclic sweep the
-    whole cube is one stacked pass (:meth:`CubeTimelineTable.cube_delta_tables`)
-    folded as a single block in global enumeration order; otherwise each
-    label pair's tensor pass is one block, at offset ``pair_index * S *
-    D`` with positions ``start_index * D + delay_index`` inside it.
+    Only the label pairs the window ``[cube.lo, cube.hi)`` touches are
+    answered; positions are window-relative, and a
+    :class:`Configuration` exists only once an argmax winner or a failure
+    is decoded.  Horizons resolve once per ``(label pair, delay)``.  On a
+    certified-cyclic sweep the touched pairs are one stacked pass
+    (:meth:`CubeTimelineTable.cube_delta_tables`) folded as a single block
+    in global enumeration order; otherwise each pair's in-window start
+    rows are one block.
     """
     np = table._np
     extremes = _Extremes(np)
     if not len(cube):
         return extremes.reduction(0)
-    start_pairs = cube.start_pairs
-    delays = cube.delays
-    delay_count = len(delays)
-    block = len(start_pairs) * delay_count  # one label pair's configurations
-    pair_horizons = [
-        _pair_horizons(cube, labels, max_rounds) for labels in cube.label_pairs
-    ]
+    delay_count = len(cube.delays)
+    block = len(cube.start_pairs) * delay_count  # one label pair's configurations
+    first = cube.lo // block
+    pairs = cube.label_pairs[first : -(-cube.hi // block)]
+    pair_horizons = [_pair_horizons(cube, labels, max_rounds) for labels in pairs]
 
-    def decode(pair_index: int, position: int) -> tuple[Configuration, int]:
-        start_index, delay_index = divmod(position, delay_count)
-        config = Configuration(
-            labels=cube.label_pairs[pair_index],
-            starts=start_pairs[start_index],
-            delay=delays[delay_index],
-        )
-        return config, pair_horizons[pair_index][delay_index][1]
+    def decode(position: int) -> tuple[Configuration, int]:
+        index = cube.lo + position
+        pair, _, delay = cube.coordinates(index)
+        return cube.config_at(index), pair_horizons[pair - first][delay][1]
 
-    tables = (
-        table.cube_delta_tables(cube.label_pairs, pair_horizons, presence)
-        if table.certificate.orbit
-        else None
-    )
+    tables = table.cube_delta_tables(pairs, pair_horizons, presence)
     if tables is not None:
         met_rows, cost_rows = tables  # (P, D, n)
         n = table.graph.num_nodes
-        delta = np.array([(v - u) % n for u, v in start_pairs], dtype=np.intp)
+        delta = np.array([(v - u) % n for u, v in cube.start_pairs], dtype=np.intp)
         # (P, D, S) -> (P, S, D) -> flat row-major = enumeration order.
+        window = slice(cube.lo - first * block, cube.hi - first * block)
         extremes.fold(
-            met_rows[:, :, delta].transpose(0, 2, 1).reshape(-1),
-            cost_rows[:, :, delta].transpose(0, 2, 1).reshape(-1),
+            met_rows[:, :, delta].transpose(0, 2, 1).reshape(-1)[window],
+            cost_rows[:, :, delta].transpose(0, 2, 1).reshape(-1)[window],
             0,
-            lambda position: decode(*divmod(position, block)),
+            decode,
         )
         return extremes.reduction(len(cube))
 
-    s1 = np.array([pair[0] for pair in start_pairs], dtype=np.intp)
-    s2 = np.array([pair[1] for pair in start_pairs], dtype=np.intp)
-    for pair_index, labels in enumerate(cube.label_pairs):
+    s1 = np.array([pair[0] for pair in cube.start_pairs], dtype=np.intp)
+    s2 = np.array([pair[1] for pair in cube.start_pairs], dtype=np.intp)
+    for slot, labels in enumerate(pairs):
+        # The window's cells of this pair, and the start rows holding them.
+        base = (first + slot) * block
+        lo, hi = max(cube.lo - base, 0), min(cube.hi - base, block)
+        rows = slice(lo // delay_count, -(-hi // delay_count))
         met, cost = table.pair_cube(
-            labels, pair_horizons[pair_index], presence, s1, s2
+            labels, pair_horizons[slot], presence, s1[rows], s2[rows]
         )
+        cells = slice(lo - rows.start * delay_count, hi - rows.start * delay_count)
         extremes.fold(
-            met.reshape(-1),
-            cost.reshape(-1),
-            pair_index * block,
-            functools.partial(decode, pair_index),
+            met.reshape(-1)[cells],
+            cost.reshape(-1)[cells],
+            base + lo - cube.lo,
+            decode,
         )
     return extremes.reduction(len(cube))
 
@@ -700,7 +624,15 @@ def _stream_search(
     for chunk, horizons, met, cost in evaluate_stream(
         table, configs, max_rounds, presence
     ):
-        extremes.fold(met, cost, offset, lambda i: (chunk[i], horizons[i]))
+        extremes.fold(
+            met,
+            cost,
+            offset,
+            lambda position, base=offset: (
+                chunk[position - base],
+                horizons[position - base],
+            ),
+        )
         offset += len(chunk)
         chunks += 1
     return extremes.reduction(offset, chunks)

@@ -184,16 +184,17 @@ class TestWorkerTableCache:
         from repro.sim.cube import CubeTimelineTable
         from repro.sim.prune import PRUNE_ENV
 
-        # Spy where every shard's configurations are measured: whichever
-        # table the worker hands its reducer answers evaluate_arrays.
+        # Spy where every cube shard is answered: whichever table the
+        # worker hands its reducer is asked for the window's delta tables
+        # (and answers None off the orbit, e.g. with pruning disabled).
         seen = []
-        original = CubeTimelineTable.evaluate_arrays
+        original = CubeTimelineTable.cube_delta_tables
 
         def spy(table, *args, **kwargs):
             seen.append(table.prune)
             return original(table, *args, **kwargs)
 
-        monkeypatch.setattr(CubeTimelineTable, "evaluate_arrays", spy)
+        monkeypatch.setattr(CubeTimelineTable, "cube_delta_tables", spy)
         scenario = Scenario(
             graph="ring",
             graph_params={"n": 7},

@@ -3,10 +3,11 @@
 A sweep split into shards and merged must report exactly what one
 ``worst_case_search`` over the flat configuration stream reports: the
 same extremes at the same global indices, the same failures in the same
-order, the same execution count.  Both sides run the same per-substrate
-reducer, so this property pins the one thing the runtime adds -- turning
-stream positions into global indices and merging shards -- on random
-graphs, label pairs, delays, horizons, shard plans and chunk sizes, for
+order, the same execution count.  Shards are windows of the sweep's
+``ConfigCube``: the cube rungs answer them on the whole-cube tensor path
+while the flat search streams in chunks, so this property pins the
+window arithmetic and the runtime's merge -- on random graphs, presence
+models, label pairs, delays, horizons, shard plans and chunk sizes, for
 every rung.  Ablated algorithms under short horizons make failures and
 ties common.
 """
@@ -15,6 +16,7 @@ import os
 import random
 from unittest import mock
 
+import pytest
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
@@ -25,12 +27,14 @@ from repro.runtime.report import merge_reports
 from repro.runtime.spec import AlgorithmSpec, GraphSpec, JobSpec
 from repro.sim import batch as batch_module
 from repro.sim.adversary import (
+    ConfigCube,
     all_label_pairs,
     configurations,
     default_horizon,
     worst_case_search,
 )
 from repro.sim.prune import PRUNE_ENV
+from repro.sim.simulator import PresenceModel
 
 #: rung -> (JobSpec engine, REPRO_PRUNE for the shards, search options)
 RUNGS = {
@@ -67,12 +71,14 @@ def sweeps(draw):
     )
     delays = draw(st.lists(st.integers(0, 9), min_size=1, max_size=3, unique=True))
     horizon = draw(st.one_of(st.none(), st.integers(1, 30)))
+    presence = draw(st.sampled_from(["from-start", "parachute"]))
     job = JobSpec(
         algorithm=registered,
         graph=GraphSpec.make("ring", n=3),  # stands in: the drawn graph is injected
         delays=tuple(delays),
         label_pairs=tuple(label_pairs),
         fix_first_start=draw(st.booleans()),
+        presence=presence,
         horizon=horizon,
     )
     total = job.config_space_size(graph)
@@ -103,6 +109,8 @@ def test_merged_shards_equal_one_flat_search(sweep, rung, chunk):
     def horizon(config):
         return default_horizon(algorithm, config)
 
+    presence = PresenceModel(job.presence)
+    max_rounds = job.horizon if job.horizon is not None else horizon
     with (
         mock.patch.object(worker_module, "_materialize", lambda *_: (graph, algorithm)),
         mock.patch.dict(os.environ, {PRUNE_ENV: prune}),
@@ -119,12 +127,14 @@ def test_merged_shards_equal_one_flat_search(sweep, rung, chunk):
             worker_module._trajectory_table.cache_clear()
             worker_module._cube_table.cache_clear()
         report = worst_case_search(
-            graph,
-            algorithm,
-            flat,
-            job.horizon if job.horizon is not None else horizon,
-            **options,
+            graph, algorithm, flat, max_rounds, presence, **options
         )
+        if engine == "cube":
+            from repro.sim.cube import CubeTimelineTable, cube_reduce
+
+            # The flat list streams in chunks of the patched size.
+            table = CubeTimelineTable(graph, algorithm, prune=options["prune"])
+            streamed = cube_reduce(table, flat, max_rounds, presence)
     merged = merge_reports(shards)
     event(f"failures: {bool(report.failures)}")
     event(f"shards: {min(len(plan), 3)}")
@@ -145,8 +155,57 @@ def test_merged_shards_equal_one_flat_search(sweep, rung, chunk):
     assert [(ref.index, ref.config) for ref in merged.failures] == [
         (flat.index(config), config) for config in report.failures
     ]
-    chunks = sum(shard.timing.chunks for shard in shards)
+    # Shards are cube windows: no rung streams them in chunks.
+    assert sum(shard.timing.chunks for shard in shards) == 0
     if engine == "cube":
-        assert chunks == sum(-(-(hi - lo) // chunk) for lo, hi in plan)
-    else:
-        assert chunks == 0
+        assert streamed.chunks == -(-len(flat) // chunk)
+        assert streamed.executions == len(flat)
+
+
+def test_a_label_pair_split_across_shards_is_scanned_once():
+    """Shards of one process share the table's memoised delta rows."""
+    pytest.importorskip("numpy")
+    import repro.sim.cube as cube_module
+
+    job = JobSpec(
+        algorithm=AlgorithmSpec("fast", 3),
+        graph=GraphSpec.make("ring", n=8),
+        delays=(0, 1, 2),
+        label_pairs=((1, 2),),
+        engine="cube",
+    )
+    graph, algorithm = worker_module._materialize(job.graph, job.algorithm)
+    total = job.config_space_size(graph)
+    scans = []
+    original = cube_module._first_colocations
+
+    def spy(*args, **kwargs):
+        scans.append(len(args[2]))  # scan groups in this pass
+        return original(*args, **kwargs)
+
+    with (
+        mock.patch.dict(os.environ, {PRUNE_ENV: "1"}),
+        mock.patch.object(cube_module, "_first_colocations", spy),
+    ):
+        worker_module._cube_table.cache_clear()
+        try:
+            bounds = [0, total // 4, total // 2, 3 * total // 4, total]
+            shards = [
+                worker_module.run_shard(job.shard_spec(lo, hi))
+                for lo, hi in zip(bounds, bounds[1:])
+            ]
+            table = worker_module._cube_table(job.graph, job.algorithm, True)
+        finally:
+            worker_module._cube_table.cache_clear()
+        whole = cube_module.CubeTimelineTable(graph, algorithm, prune=True)
+        cube = ConfigCube.make(graph, job.label_pairs, delays=job.delays)
+        reduction = cube_module.cube_reduce(
+            whole, cube, lambda config: default_horizon(algorithm, config)
+        )
+    assert table.orbit_active
+    assert scans == [3, 3]  # one pass by the first shard, one by the whole cube
+    assert table.stats.orbit_cells == whole.stats.orbit_cells == 3 * 7**2
+    merged = merge_reports(shards)
+    assert merged.executions == reduction.executions == total
+    assert merged.worst_time.index == reduction.worst_time.position
+    assert merged.worst_cost.index == reduction.worst_cost.position

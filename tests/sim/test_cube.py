@@ -13,12 +13,16 @@ dominance must derive exact translates, and every knob must resolve
 through its single funnel.
 """
 
+import random
+from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exploration.ring import RingExploration
-from repro.graphs.families import oriented_ring
+from repro.graphs.families import oriented_ring, random_tree
 from repro.obs.telemetry import Telemetry
 from repro.registry import ALGORITHMS, GRAPH_FAMILIES
 from repro.sim import batch as batch_module
@@ -479,3 +483,103 @@ class TestConfigCube:
             )
         )
         assert len(cube) == 11 * 2
+
+
+@st.composite
+def cubes(draw):
+    """A small cube over a ring or a random tree, with arbitrary axes."""
+    if draw(st.booleans()):
+        graph = oriented_ring(draw(st.integers(3, 6)))
+    else:
+        seed = draw(st.integers(0, 99))
+        graph = random_tree(draw(st.integers(3, 6)), random.Random(seed))
+    pairs = list(all_label_pairs(3))
+    return ConfigCube.make(
+        graph,
+        draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=4, unique=True)),
+        delays=draw(st.lists(st.integers(0, 9), min_size=1, max_size=3, unique=True)),
+        fix_first_start=draw(st.booleans()),
+    )
+
+
+@st.composite
+def windows(draw):
+    cube = draw(cubes())
+    bound = st.integers(0, len(cube) + 3)
+    return cube, draw(bound), draw(bound)
+
+
+class TestConfigCubeWindow:
+    @settings(max_examples=60, deadline=None)
+    @given(case=windows())
+    def test_window_is_the_slice_of_the_cube(self, case):
+        cube, lo, hi = case
+        window = cube.window(lo, hi)
+        assert list(window) == list(cube)[lo:hi]
+        assert len(window) == len(list(cube)[lo:hi])
+        assert [window.config_at(i) for i in range(window.lo, window.hi)] == list(
+            window
+        )
+        # A window of a window is the slice of the slice.
+        assert list(window.window(1, 4)) == list(cube)[lo:hi][1:4]
+
+    def test_negative_and_out_of_range_bounds_raise(self, ring12):
+        cube = ConfigCube.make(ring12, [(1, 2)])
+        with pytest.raises(ValueError, match=">= 0"):
+            cube.window(-1, 3)
+        with pytest.raises(ValueError, match="not within"):
+            ConfigCube(ring12, cube.label_pairs, cube.start_pairs, (0,), lo=2, hi=1)
+
+    @needs_numpy
+    @pytest.mark.parametrize("presence", list(PresenceModel))
+    @pytest.mark.parametrize("prune", [True, False])
+    def test_every_window_reduces_like_its_stream(self, prune, presence):
+        """Exhaustive window arithmetic: every ``[lo, hi)`` of a small cube.
+
+        The horizon is short enough that failures and meetings mix, so a
+        window reading one cell too many or too few, or placing a block
+        at the wrong offset, changes the failures or the extremes.
+        """
+        from repro.sim.cube import cube_reduce
+
+        ring = oriented_ring(4)
+        algorithm = build_algorithm("fast", ring)
+        cube = ConfigCube.make(ring, [(1, 2), (3, 1)], delays=(0, 3))
+        table = CubeTimelineTable(ring, algorithm, prune=prune)
+        assert table.orbit_active is prune
+        flat = cube_reduce(table, list(cube), 9, presence)
+        assert flat.failures and flat.worst_time is not None
+        for lo in range(len(cube)):
+            for hi in range(lo + 1, len(cube) + 1):
+                window = cube.window(lo, hi)
+                whole = cube_reduce(table, window, 9, presence)
+                streamed = cube_reduce(table, list(window), 9, presence)
+                assert (whole.chunks, streamed.chunks) == (0, 1)
+                assert whole == replace(streamed, chunks=0), (lo, hi)
+
+    @needs_numpy
+    @settings(max_examples=40, deadline=None)
+    @given(
+        case=windows(),
+        algorithm=st.sampled_from(["fast", "cheap"]),
+        presence=st.sampled_from(list(PresenceModel)),
+        prune=st.booleans(),
+        horizon=st.one_of(st.none(), st.integers(1, 30)),
+    )
+    def test_windowed_cube_search_equals_the_reactive_slice(
+        self, case, algorithm, presence, prune, horizon
+    ):
+        cube, lo, hi = case
+        window = cube.window(lo, hi)
+        factory = build_algorithm(algorithm, cube.graph)
+
+        def default(config):
+            return default_horizon(factory, config)
+
+        rounds = default if horizon is None else horizon
+        report = cube_worst_case_search(
+            cube.graph, factory, window, rounds, presence, prune=prune
+        )
+        assert report == worst_case_search(
+            cube.graph, factory, list(window), rounds, presence, engine="reactive"
+        )
