@@ -18,8 +18,11 @@ smoke job) rewrites ``BENCH_engine.json`` at the repository root so the
 numbers are tracked PR over PR.
 """
 
+import importlib.metadata
 import json
+import os
 import pathlib
+import platform
 import statistics
 import time
 
@@ -54,6 +57,19 @@ from repro.sim.compiled import TrajectoryTable
 from repro.sim.simulator import simulate_rendezvous
 
 BASELINE_PATH = pathlib.Path(__file__).resolve().parent.parent / "BENCH_engine.json"
+
+
+def machine_fingerprint() -> dict:
+    """What the recorded seconds depend on besides the code."""
+    try:
+        numpy_version = importlib.metadata.version("numpy")
+    except importlib.metadata.PackageNotFoundError:
+        numpy_version = None
+    return {
+        "cpu_count": os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": numpy_version,
+    }
 
 
 def _instrumented_search(engine, graph, algorithm, configs, horizon, prune=None):
@@ -130,7 +146,7 @@ def test_engine_ring_executor(benchmark):
 
 
 def test_engine_trim_sweep(benchmark):
-    """Trim = Theta(L^2 n) pairwise executions over the vectors."""
+    """Trim: one all-gaps walk per unordered label pair, L(L-1)/2 walks."""
     algorithm = CheapSimultaneous(RingExploration(12), 8)
     trimmed = benchmark(lambda: trimmed_from_algorithm(algorithm, 12))
     assert len(trimmed.labels) == 8
@@ -202,6 +218,7 @@ def compiled_engine_baseline(path: pathlib.Path | None = BASELINE_PATH) -> dict:
 
     baseline = {
         "benchmark": "worst-case sweep engine comparison",
+        "machine": machine_fingerprint(),
         "compiled_vs_reactive": {
             "sweep": {
                 "algorithm": "fast",

@@ -35,10 +35,14 @@ class RendezvousAlgorithm(ABC):
     #: :meth:`schedule` run through ``schedule_program``: the trajectory
     #: of an agent depends only on its ``(label, start)``, never on the
     #: other agent.  Such algorithms are eligible for the compiled
-    #: trajectory engine (:mod:`repro.sim.compiled`).  Deliberately
-    #: conservative: ``False`` here, set ``True`` by the paper's
-    #: algorithms; a subclass that overrides ``__call__``/``body`` with
-    #: reactive behaviour must leave it ``False``.
+    #: trajectory engine (:mod:`repro.sim.compiled`), which compiles them
+    #: segment by segment straight from :meth:`schedule` and
+    #: :attr:`exploration` when ``__call__`` and ``body`` are this
+    #: class's own (a subclass overriding either is replayed round by
+    #: round instead).  Deliberately conservative: ``False`` here, set
+    #: ``True`` by the paper's algorithms; a subclass that overrides
+    #: ``__call__``/``body`` with reactive behaviour must leave it
+    #: ``False``.
     is_oblivious: bool = False
 
     def __init__(self, exploration: ExplorationProcedure, label_space: int):

@@ -712,7 +712,7 @@ EXP06 = _register(
 # ----------------------------------------------------------------------
 
 EXP07_LABEL_SPACES = (4, 8, 16, 32)
-#: Larger instances (numpy-accelerated Trim) showing the bound scales in E.
+#: Larger instances (one-pass Trim) showing the bound scales in E.
 EXP07_SCALING_CASES = ((12, 16), (24, 16), (36, 16))
 EXP07_QUICK_LABEL_SPACES = (4, 32)
 EXP07_QUICK_SCALING_CASES = ((12, 16), (24, 16))

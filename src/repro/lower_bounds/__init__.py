@@ -11,7 +11,8 @@ constructions is computable, and this package computes it:
 * :mod:`repro.lower_bounds.behaviour` -- extracting behaviour vectors from
   schedules and from solo simulations;
 * :mod:`repro.lower_bounds.ring_exec` -- fast prefix-sum execution of
-  vector pairs on the ring (validated against the full simulator);
+  vector pairs on the ring, one gap or all gaps of a pair in one pass
+  (validated against the full simulator);
 * :mod:`repro.lower_bounds.trim` -- the paper's ``Trim`` procedure;
 * :mod:`repro.lower_bounds.aggregate` -- blocks, sectors, aggregate
   vectors, surpluses (Facts 3.9/3.10);
@@ -50,6 +51,7 @@ from repro.lower_bounds.progress import (
 from repro.lower_bounds.ring_exec import (
     displacement,
     meeting_round,
+    meeting_rounds_by_gap,
     positions_over_time,
     solo_cost,
 )
@@ -83,6 +85,7 @@ __all__ = [
     "forward_and_back",
     "hamiltonian_path",
     "meeting_round",
+    "meeting_rounds_by_gap",
     "positions_over_time",
     "progress_pairs",
     "solo_cost",

@@ -20,6 +20,7 @@ DESIGN.md Section 5 discusses this in detail.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from math import ceil, log2
 from typing import Mapping
 
@@ -34,7 +35,7 @@ from repro.lower_bounds.progress import (
     progress_weight,
     verify_progress_invariants,
 )
-from repro.lower_bounds.ring_exec import meeting_round, solo_cost
+from repro.lower_bounds.ring_exec import meeting_rounds_by_gap, solo_cost
 from repro.lower_bounds.tournament import (
     chain_executions,
     gap_f,
@@ -51,21 +52,28 @@ class CertificateError(RuntimeError):
 def _max_execution_cost(trimmed: TrimmedAlgorithm) -> int:
     """Worst combined cost over all pairs and gaps (simultaneous start)."""
     labels = trimmed.labels
+    # costs[x][t] is solo_cost(vector(x), t), flat past the vector's end.
+    costs = {
+        x: list(accumulate((step != 0 for step in trimmed.vector(x)), initial=0))
+        for x in labels
+    }
+
+    def cost_through(x: int, time: int) -> int:
+        return costs[x][min(time, len(costs[x]) - 1)]
+
     worst = 0
     for i, x in enumerate(labels):
         for y in labels[i + 1 :]:
-            for gap in range(1, trimmed.ring_size):
-                time = meeting_round(
-                    trimmed.vector(x), 0, trimmed.vector(y), gap, trimmed.ring_size
+            rounds = meeting_rounds_by_gap(
+                trimmed.vector(x), trimmed.vector(y), trimmed.ring_size
+            )
+            if None in rounds:
+                raise CertificateError(
+                    f"trimmed vectors of {x}, {y} never meet from gap "
+                    f"{rounds.index(None)}"
                 )
-                if time is None:
-                    raise CertificateError(
-                        f"trimmed vectors of {x}, {y} never meet from gap {gap}"
-                    )
-                cost = solo_cost(trimmed.vector(x), time) + solo_cost(
-                    trimmed.vector(y), time
-                )
-                worst = max(worst, cost)
+            for time in rounds[1:]:
+                worst = max(worst, cost_through(x, time) + cost_through(y, time))
     return worst
 
 

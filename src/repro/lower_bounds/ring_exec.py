@@ -1,24 +1,21 @@
 """Fast execution of behaviour-vector pairs on an oriented ring.
 
 The lower-bound analyses need many pairwise executions (the ``Trim``
-procedure alone runs ``Theta(L^2 n)`` of them), so this module executes
-them directly over the vectors by prefix sums instead of driving the full
-simulator.  When numpy is available, :func:`meeting_round` additionally
-uses a vectorised gap computation (the gap sequence is one cumulative
-sum); tests cross-validate all three paths -- numpy, pure Python and the
-full simulator -- on random inputs.
+procedure alone asks for ``Theta(L^2 n)`` of them), so this module
+executes them directly over the vectors by prefix sums instead of driving
+the full simulator.  :func:`meeting_round` answers one starting gap;
+:func:`meeting_rounds_by_gap` answers every gap of a label pair from one
+walk over the pair's displacement difference, which is how ``Trim`` and
+the certificates sweep all ``n - 1`` gaps.  Tests cross-validate both
+against a reference loop and the full simulator on random inputs.
 
 All executions here use simultaneous start -- the setting of Section 3.
 """
 
 from __future__ import annotations
 
+from itertools import zip_longest
 from typing import Sequence
-
-try:  # numpy accelerates the Trim sweeps; everything works without it.
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy ships with the dev env
-    _np = None
 
 
 def displacement(vector: Sequence[int], upto: int | None = None) -> int:
@@ -69,8 +66,6 @@ def meeting_round(
     gap = (start_b - start_a) % ring_size
     if gap == 0:
         return 0
-    if _np is not None and horizon > 32:
-        return _meeting_round_numpy(vector_a, vector_b, gap, ring_size, horizon)
     for t in range(horizon):
         step_a = vector_a[t] if t < len(vector_a) else 0
         step_b = vector_b[t] if t < len(vector_b) else 0
@@ -80,23 +75,33 @@ def meeting_round(
     return None
 
 
-def _meeting_round_numpy(
-    vector_a: Sequence[int],
-    vector_b: Sequence[int],
-    initial_gap: int,
-    ring_size: int,
-    horizon: int,
-) -> int | None:
-    """Vectorised gap evolution: one cumsum, one argmax."""
-    steps_a = _np.zeros(horizon, dtype=_np.int64)
-    steps_b = _np.zeros(horizon, dtype=_np.int64)
-    steps_a[: min(horizon, len(vector_a))] = vector_a[:horizon]
-    steps_b[: min(horizon, len(vector_b))] = vector_b[:horizon]
-    gaps = (initial_gap + _np.cumsum(steps_b - steps_a)) % ring_size
-    hits = _np.nonzero(gaps == 0)[0]
-    if hits.size == 0:
-        return None
-    return int(hits[0]) + 1
+def meeting_rounds_by_gap(
+    vector_a: Sequence[int], vector_b: Sequence[int], ring_size: int
+) -> list[int | None]:
+    """:func:`meeting_round` from every starting gap, in one pass.
+
+    Entry ``gap`` of the result equals ``meeting_round(vector_a, 0,
+    vector_b, gap, ring_size)`` for ``gap = 0..ring_size - 1`` (entry 0
+    is 0: the agents start together).  Agent ``b`` starting ``gap``
+    nodes ahead meets agent ``a`` at the first time point ``t`` with
+    ``disp_a(t) - disp_b(t) = gap (mod n)``, so one walk over that
+    difference records the first time each residue is reached; it stops
+    once every gap has met.  ``None`` marks a gap from which the pair
+    never meets.
+    """
+    rounds: list[int | None] = [0] + [None] * (ring_size - 1)
+    unmet = ring_size - 1
+    difference = 0
+    for t, (step_a, step_b) in enumerate(
+        zip_longest(vector_a, vector_b, fillvalue=0), start=1
+    ):
+        difference = (difference + step_a - step_b) % ring_size
+        if rounds[difference] is None:
+            rounds[difference] = t
+            unmet -= 1
+            if not unmet:
+                break
+    return rounds
 
 
 def solo_cost(vector: Sequence[int], upto: int | None = None) -> int:

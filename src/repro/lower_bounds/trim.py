@@ -11,6 +11,10 @@ with trimmed vectors.
 Because behaviour vectors are position-independent, only the initial gap
 ``(p_y - p_x) mod n`` matters, so the maximisation fixes ``p_x = 0`` and
 sweeps the ``n - 1`` possible gaps -- an exact, not heuristic, reduction.
+All gaps of a label pair are answered by one walk over the pair's
+displacement difference (:func:`~repro.lower_bounds.ring_exec.meeting_rounds_by_gap`),
+and the pair ``(y, x)`` from gap ``g`` is the pair ``(x, y)`` from gap
+``n - g``, so each unordered pair is walked once.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from typing import Mapping, Sequence
 from repro.graphs.port_graph import PortLabeledGraph
 from repro.graphs.validation import require_oriented_ring
 from repro.lower_bounds.behaviour import behaviour_from_schedule, behaviour_from_solo_run
-from repro.lower_bounds.ring_exec import meeting_round
+from repro.lower_bounds.ring_exec import meeting_rounds_by_gap
 from repro.sim.program import ProgramFactory
 
 
@@ -61,23 +65,18 @@ def trim_vectors(
     if len(labels) < 2:
         raise ValueError("trimming needs at least two labels")
 
-    deadlines: dict[int, int] = {}
-    for x in labels:
-        worst = 0
-        for y in labels:
-            if y == x:
-                continue
-            for gap in range(1, ring_size):
-                met = meeting_round(
-                    raw_vectors[x], 0, raw_vectors[y], gap, ring_size
+    deadlines = dict.fromkeys(labels, 0)
+    for i, x in enumerate(labels):
+        for y in labels[i + 1 :]:
+            rounds = meeting_rounds_by_gap(raw_vectors[x], raw_vectors[y], ring_size)
+            if None in rounds:
+                raise NonMeetingError(
+                    f"labels {x} and {y} never meet from gap {rounds.index(None)}: "
+                    "not a correct algorithm (or truncated vectors)"
                 )
-                if met is None:
-                    raise NonMeetingError(
-                        f"labels {x} and {y} never meet from gap {gap}: "
-                        "not a correct algorithm (or truncated vectors)"
-                    )
-                worst = max(worst, met)
-        deadlines[x] = worst
+            latest = max(rounds)
+            deadlines[x] = max(deadlines[x], latest)
+            deadlines[y] = max(deadlines[y], latest)
 
     trimmed = {
         x: tuple(raw_vectors[x][: deadlines[x]])

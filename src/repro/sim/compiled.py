@@ -25,11 +25,16 @@ reduce itself is :func:`~repro.sim.adversary.scan_reduce`, the one
 per-configuration loop shared with the reactive substrate and with the
 runtime's shards; this module supplies the table it walks.
 
-Compilation replays the *actual* agent program (the same generators the
-simulator would drive), so schedule semantics, exploration routes and
-budget enforcement are shared with the reactive engine by construction
-rather than re-implemented; only the per-configuration interaction logic
-(colocation, presence, costs, crossings) is specialised here.
+Compilation replays the *actual* explorations (the same generators the
+simulator would drive), so exploration routes and budget enforcement are
+shared with the reactive engine by construction rather than
+re-implemented; only the per-configuration interaction logic
+(colocation, presence, costs, crossings) is specialised here.  For an
+algorithm whose program is its declared schedule, compilation walks the
+schedule's segments: each EXPLORE runs ``exploration.execute`` round by
+round, each WAIT -- where Fast-style schedules spend almost all their
+rounds -- is bulk-filled in one step.  Every other factory has its whole
+generator replayed round by round.
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable
 
 from repro.graphs.port_graph import PortLabeledGraph
 from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
@@ -52,6 +57,9 @@ from repro.sim.observation import Observation
 from repro.sim.program import AgentContext, ProgramFactory, ReactiveProgram
 from repro.sim.simulator import PresenceModel
 from repro.sim.trace import AgentTrace
+
+if TYPE_CHECKING:
+    from repro.core.base import RendezvousAlgorithm
 
 
 @dataclass(frozen=True)
@@ -92,6 +100,86 @@ class CompiledTrajectory:
         return cumulative[round_] if round_ < len(cumulative) else cumulative[-1]
 
 
+class _SoloRecord:
+    """The growing solo timeline both compilation paths append to.
+
+    :meth:`step` plays one round of an action the program emitted;
+    :meth:`wait` plays ``rounds`` idle rounds at once.  Both return the
+    observation that follows, exactly as the simulator would deliver it
+    (the entry port persists across waits).
+    """
+
+    __slots__ = ("graph", "positions", "actions", "entries", "cumulative", "entry_port")
+
+    def __init__(self, graph: PortLabeledGraph, start: int):
+        self.graph = graph
+        self.positions = [start]
+        self.actions: list[Action] = []
+        self.entries: list[int | None] = []
+        self.cumulative = [0]
+        self.entry_port: int | None = None
+
+    def observation(self) -> Observation:
+        return Observation(
+            clock=len(self.actions),
+            degree=self.graph.degree(self.positions[-1]),
+            entry_port=self.entry_port,
+        )
+
+    def step(self, action: Action) -> Observation:
+        position = self.positions[-1]
+        validate_action(action, self.graph.degree(position))
+        moves = self.cumulative[-1]
+        if action is not None:
+            position, self.entry_port = self.graph.neighbor_via(position, action)
+            moves += 1
+            self.entries.append(self.entry_port)
+        else:
+            self.entries.append(None)
+        self.actions.append(action)
+        self.positions.append(position)
+        self.cumulative.append(moves)
+        return self.observation()
+
+    def wait(self, rounds: int) -> Observation:
+        self.positions.extend([self.positions[-1]] * rounds)
+        self.actions.extend([WAIT] * rounds)
+        self.entries.extend([None] * rounds)
+        self.cumulative.extend([self.cumulative[-1]] * rounds)
+        return self.observation()
+
+    def trajectory(self, label: int) -> CompiledTrajectory:
+        return CompiledTrajectory(
+            label=label,
+            start=self.positions[0],
+            positions=tuple(self.positions),
+            actions=tuple(self.actions),
+            entries=tuple(self.entries),
+            cumulative_cost=tuple(self.cumulative),
+        )
+
+
+def _schedule_driven(factory: ProgramFactory) -> bool:
+    """Whether ``factory``'s program is its declared schedule, verbatim.
+
+    True for a :class:`~repro.core.base.RendezvousAlgorithm` declaring
+    ``is_oblivious`` that keeps the base class's ``__call__`` and
+    ``body`` -- its program is then ``schedule_program(schedule(label),
+    exploration, ctx)`` by construction, so it can be compiled segment
+    by segment.  A subclass overriding either method may do anything,
+    and is replayed round by round instead.
+    """
+    from repro.core.base import RendezvousAlgorithm  # local: core imports sim
+
+    cls = type(factory)
+    return (
+        isinstance(factory, RendezvousAlgorithm)
+        and factory.is_oblivious
+        and cls.__call__ is RendezvousAlgorithm.__call__
+        and cls.body is RendezvousAlgorithm.body
+    )
+
+
 def compile_trajectory(
     graph: PortLabeledGraph,
     factory: ProgramFactory,
@@ -102,13 +190,17 @@ def compile_trajectory(
 ) -> CompiledTrajectory:
     """Replay agent ``label``'s program solo from ``start`` and record it.
 
-    Drives the very generator the simulator would run, for exactly
-    ``factory.schedule_length(label)`` rounds, feeding it the same
-    observations (clock, degree, last entry port) a two-agent run would --
-    legitimate because oblivious programs never observe the other agent.
-    Fails loudly if the program is still active past its declared schedule
-    length: a factory whose behaviour outlives ``schedule_length`` is not
-    schedule-driven and must use the reactive engine.
+    Feeds the program the same observations (clock, degree, last entry
+    port) a two-agent run would -- legitimate because oblivious programs
+    never observe the other agent.  A schedule-driven factory (see
+    :func:`_schedule_driven`) is compiled segment by segment: each
+    EXPLORE segment drives the real ``exploration.execute`` generator
+    round by round, each WAIT segment is filled in bulk.  Any other
+    factory has its generator replayed for exactly
+    ``factory.schedule_length(label)`` rounds, and compilation fails
+    loudly if the program is still active after that: a factory whose
+    behaviour outlives ``schedule_length`` is not schedule-driven and
+    must use the reactive engine.
     """
     schedule_length = getattr(factory, "schedule_length", None)
     if schedule_length is None:
@@ -118,36 +210,55 @@ def compile_trajectory(
         )
     total = schedule_length(label)
 
-    positions = [start]
+    record = _SoloRecord(graph, start)
     context = AgentContext(
         label=label,
         graph=graph if provide_map else None,
-        position_oracle=(lambda: positions[-1]) if provide_position else None,
+        position_oracle=(lambda: record.positions[-1]) if provide_position else None,
     )
-    program = ReactiveProgram(factory(context))
-    actions: list[Action] = []
-    entries: list[int | None] = []
-    cumulative = [0]
-    moves = 0
-    entry_port: int | None = None  # persists across waits, as in the simulator
-    obs = Observation(clock=0, degree=graph.degree(start), entry_port=None)
+    if _schedule_driven(factory):
+        _compile_segments(record, factory, context)
+        if len(record.actions) != total:
+            raise ValueError(
+                f"cannot compile {factory.name!r}: the schedule of label "
+                f"{label} runs {len(record.actions)} rounds, but "
+                f"schedule_length declares {total}"
+            )
+    else:
+        _replay_rounds(record, factory, context, total)
+    return record.trajectory(label)
 
-    for round_ in range(1, total + 1):
-        position = positions[-1]
-        action = program.step(obs)
-        validate_action(action, graph.degree(position))
-        if action is not None:
-            position, entry_port = graph.neighbor_via(position, action)
-            moves += 1
-            entries.append(entry_port)
-        else:
-            entries.append(None)
-        actions.append(action)
-        positions.append(position)
-        cumulative.append(moves)
-        obs = Observation(
-            clock=round_, degree=graph.degree(position), entry_port=entry_port
-        )
+
+def _compile_segments(
+    record: _SoloRecord, algorithm: RendezvousAlgorithm, context: AgentContext
+) -> None:
+    """Record ``algorithm``'s schedule: explorations replayed, waits bulk-filled."""
+    from repro.core.schedule import SegmentKind  # local: core imports sim
+
+    algorithm._check_label(context.label)
+    exploration = algorithm.exploration
+    obs = record.observation()
+    for segment in algorithm.schedule(context.label):
+        if segment.kind is SegmentKind.WAIT:
+            obs = record.wait(segment.rounds)
+            continue
+        behaviour = exploration.execute(context, obs)
+        try:
+            action = next(behaviour)
+            while True:
+                action = behaviour.send(record.step(action))
+        except StopIteration as stop:
+            obs = stop.value
+
+
+def _replay_rounds(
+    record: _SoloRecord, factory: ProgramFactory, context: AgentContext, total: int
+) -> None:
+    """Record ``total`` rounds of ``factory``'s generator, one round at a time."""
+    program = ReactiveProgram(factory(context))
+    obs = record.observation()
+    for _ in range(total):
+        obs = record.step(program.step(obs))
 
     # The schedule must be exhausted: one further step has to yield the
     # implicit wait-forever, or the declared length lied and compiled
@@ -155,18 +266,9 @@ def compile_trajectory(
     if program.step(obs) is not WAIT or not program.finished:
         raise ValueError(
             f"cannot compile {getattr(factory, 'name', factory)!r}: the program "
-            f"for label {label} is still active after its declared "
+            f"for label {context.label} is still active after its declared "
             f"schedule_length of {total} rounds"
         )
-
-    return CompiledTrajectory(
-        label=label,
-        start=start,
-        positions=tuple(positions),
-        actions=tuple(actions),
-        entries=tuple(entries),
-        cumulative_cost=tuple(cumulative),
-    )
 
 
 def first_meeting_time(

@@ -12,10 +12,15 @@ per-agent traces inside the extreme records.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.ablations import CheapShortWait
+from repro.core.ablations import CheapShortWait, FastNoDelimiter, FastNoDoubling
+from repro.core.cheap import Cheap
+from repro.exploration.base import ExplorationProcedure
+from repro.exploration.registry import best_exploration
 from repro.exploration.ring import RingExploration
-from repro.registry import ALGORITHMS, GRAPH_FAMILIES
+from repro.registry import ALGORITHMS, EXPLORATIONS, GRAPH_FAMILIES, KNOWLEDGE_MODELS
 from repro.runtime.spec import AlgorithmSpec
 from repro.sim.adversary import (
     all_label_pairs,
@@ -317,3 +322,140 @@ class TestCompilation:
         report = compiled_worst_case_search(ring12, algorithm, [], 1)
         assert report.worst_time is None and report.worst_cost is None
         assert report.executions == 0 and report.failures == ()
+
+
+class ReplayOnly:
+    """Exposes only ``schedule_length`` and ``__call__`` of a factory.
+
+    Hides ``is_oblivious``, ``schedule`` and ``exploration``, so
+    :func:`compile_trajectory` must replay the wrapped program round by
+    round -- the reference the segment-level compilation is held to.
+    """
+
+    def __init__(self, factory):
+        self._factory = factory
+        self.name = factory.name
+
+    def schedule_length(self, label: int) -> int:
+        return self._factory.schedule_length(label)
+
+    def __call__(self, ctx: AgentContext):
+        return self._factory(ctx)
+
+
+#: Every oblivious algorithm class, the registered ones and the
+#: ablations, with whether it takes a relabeling weight.
+OBLIVIOUS_ALGORITHMS = [
+    (entry.target, entry.metadata.get("weighted", False))
+    for entry in ALGORITHMS.entries()
+    if entry.target.is_oblivious
+] + [(FastNoDelimiter, False), (FastNoDoubling, False), (CheapShortWait, False)]
+
+
+class ObservationWalk(ExplorationProcedure):
+    """Steers by every observation field, so a wrong clock, degree or
+    entry port anywhere in a schedule changes the trajectory.
+
+    Moves ``moves`` rounds out of a budget of ``budget``: fewer than the
+    budget exercises the idle padding, more overruns it.
+    """
+
+    name = "observation-walk"
+
+    def __init__(self, budget: int, moves: int):
+        self._budget = budget
+        self._moves = moves
+
+    @property
+    def budget(self) -> int:
+        return self._budget
+
+    def moves(self, ctx, obs):
+        for _ in range(self._moves):
+            entry = -1 if obs.entry_port is None else obs.entry_port
+            obs = yield (obs.clock + entry + 1) % obs.degree
+        return obs
+
+
+def compile_outcome(graph, factory, label, start, provide_map, provide_position):
+    """The compiled trajectory, or the type and text of the error raised."""
+    try:
+        return compile_trajectory(
+            graph, factory, label, start, provide_map, provide_position
+        )
+    except Exception as error:  # compared across both compilation paths
+        return type(error), str(error)
+
+
+@st.composite
+def compile_cases(draw):
+    family = draw(st.sampled_from(sorted(SMALL_FAMILIES)))
+    graph = small_instance(family)
+    source = draw(
+        st.one_of(
+            st.tuples(st.just("exploration"), st.sampled_from(EXPLORATIONS.names())),
+            st.tuples(st.just("knowledge"), st.sampled_from(KNOWLEDGE_MODELS.names())),
+            st.tuples(st.just("walk"), st.integers(min_value=1, max_value=8)),
+        )
+    )
+    try:
+        if source[0] == "walk":
+            budget = source[1]
+            moves = draw(st.integers(min_value=0, max_value=budget + 1))
+            exploration = ObservationWalk(budget, moves)
+        elif source[0] == "exploration":
+            exploration = EXPLORATIONS.entry(source[1]).build(graph)
+        else:
+            exploration = best_exploration(graph, KNOWLEDGE_MODELS.get(source[1]))
+    except ValueError:  # the procedure does not apply to this graph
+        exploration = best_exploration(graph)
+    algorithm_class, weighted = draw(st.sampled_from(OBLIVIOUS_ALGORITHMS))
+    label_space = draw(st.integers(min_value=2, max_value=6))
+    if weighted:
+        weight = draw(st.integers(min_value=2, max_value=3))
+        algorithm = algorithm_class(exploration, label_space, weight)
+    else:
+        algorithm = algorithm_class(exploration, label_space)
+    return (
+        graph,
+        algorithm,
+        draw(st.integers(min_value=0, max_value=label_space + 1)),
+        draw(st.integers(min_value=0, max_value=graph.num_nodes - 1)),
+        draw(st.booleans()),
+        draw(st.booleans()),
+    )
+
+
+class TestSegmentCompilation:
+    """Segment-level compilation equals the per-round replay, field for field."""
+
+    @given(compile_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_segments_equal_the_round_replay(self, case):
+        graph, algorithm, label, start, provide_map, provide_position = case
+        segmented = compile_outcome(
+            graph, algorithm, label, start, provide_map, provide_position
+        )
+        replayed = compile_outcome(
+            graph, ReplayOnly(algorithm), label, start, provide_map, provide_position
+        )
+        assert segmented == replayed
+
+    def test_lying_oblivious_subclass_compiles_to_its_real_behaviour(self, ring12):
+        """A subclass declaring ``is_oblivious`` but overriding ``__call__``
+        must be compiled from its program, not from its schedule."""
+
+        class Liar(Cheap):
+            def __call__(self, ctx: AgentContext):
+                obs = yield
+                for _ in range(self.schedule_length(ctx.label)):
+                    obs = yield 0
+
+        liar = Liar(RingExploration(12), label_space=3)
+        assert liar.is_oblivious and liar.schedule(2) is not None
+        compiled = compile_trajectory(ring12, liar, label=2, start=0)
+        assert compiled == compile_trajectory(ring12, ReplayOnly(liar), 2, 0)
+        assert set(compiled.actions) == {0}
+        assert compiled != compile_trajectory(
+            ring12, Cheap(RingExploration(12), 3), 2, 0
+        )
